@@ -6,7 +6,11 @@ and their arrays are made read-only, so values can be shared freely across
 threads; every operation returns new data.
 
 Supported on disk: PNG (8-bit grayscale / RGB, non-interlaced) and binary
-PGM (P5) / PPM (P6).
+PGM (P5) / PPM (P6).  All five PNG row filters (None, Sub, Up, Average,
+Paeth) are decoded in numpy, a whole row or a whole anti-diagonal of pixels
+at a time.  A PNG header declaring more than ``PNG_MAX_PIXELS`` pixels is
+rejected before its data is inflated.  Malformed files of either kind raise
+``ImageFormatError``.
 """
 
 from __future__ import annotations
@@ -270,6 +274,11 @@ def save_image(img: PlanarImage, path) -> None:
 
 _PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
 
+# Largest width x height accepted from a PNG header.  It is checked before
+# inflating, so a small file cannot make the decoder allocate without bound;
+# 8192 x 8192 leaves room for 8K UHD (7680 x 4320) frames.
+PNG_MAX_PIXELS = 8192 * 8192
+
 
 def _png_chunk(tag: bytes, body: bytes) -> bytes:
     crc = zlib.crc32(tag + body) & 0xFFFFFFFF
@@ -292,29 +301,7 @@ def _png_encode(arr: np.ndarray) -> bytes:
 
 
 def _png_decode(data: bytes) -> np.ndarray:
-    pos = 8
-    ihdr = None
-    idat = b""
-    while pos < len(data):
-        if pos + 8 > len(data):
-            raise ImageFormatError("truncated PNG chunk header")
-        (length,) = struct.unpack(">I", data[pos : pos + 4])
-        tag = data[pos + 4 : pos + 8]
-        body = data[pos + 8 : pos + 8 + length]
-        if len(body) != length:
-            raise ImageFormatError("truncated PNG chunk body")
-        (crc,) = struct.unpack(">I", data[pos + 8 + length : pos + 12 + length])
-        if zlib.crc32(tag + body) & 0xFFFFFFFF != crc:
-            raise ImageFormatError(f"PNG chunk {tag!r} CRC mismatch")
-        if tag == b"IHDR":
-            ihdr = struct.unpack(">IIBBBBB", body)
-        elif tag == b"IDAT":
-            idat += body
-        elif tag == b"IEND":
-            break
-        pos += 12 + length
-    if ihdr is None:
-        raise ImageFormatError("PNG missing IHDR")
+    ihdr, idat = _png_chunks(data)
     w, h, depth, color_type, comp, filt, interlace = ihdr
     if w == 0 or h == 0:
         raise ImageFormatError("PNG has zero dimension")
@@ -324,58 +311,149 @@ def _png_decode(data: bytes) -> np.ndarray:
         )
     if comp != 0 or filt != 0 or interlace != 0:
         raise ImageFormatError("unsupported PNG compression/interlace mode")
+    if w * h > PNG_MAX_PIXELS:
+        raise ImageFormatError(
+            f"PNG is {w}x{h}, more than the {PNG_MAX_PIXELS} pixels accepted"
+        )
     nch = 1 if color_type == 0 else 3
+    stride = w * nch
+    raw = _png_inflate(idat, h * (stride + 1))
+    ftypes = np.frombuffer(raw, dtype=np.uint8)[:: stride + 1]
+    top = int(ftypes.max())
+    if top > 4:
+        r = int(np.argmax(ftypes > 4))
+        raise ImageFormatError(f"unknown PNG filter type {ftypes[r]} in row {r}")
+    if top >= 3:
+        out = _png_unfilter_wavefront(raw, ftypes, h, w, nch)
+    else:
+        out = _png_unfilter_rows(raw, ftypes, h, stride, nch)
+    return out.reshape(h, w) if nch == 1 else out.reshape(h, w, 3)
+
+
+def _png_chunks(data: bytes):
+    """(IHDR fields, concatenated IDAT bodies) of a CRC-checked chunk list."""
+    pos = 8
+    idat = []
+    while True:
+        if pos + 8 > len(data):
+            raise ImageFormatError("truncated PNG: chunk header or IEND missing")
+        (length,) = struct.unpack(">I", data[pos : pos + 4])
+        tag = data[pos + 4 : pos + 8]
+        body = data[pos + 8 : pos + 8 + length]
+        if len(body) != length:
+            raise ImageFormatError("truncated PNG chunk body")
+        crc_bytes = data[pos + 8 + length : pos + 12 + length]
+        if len(crc_bytes) != 4:
+            raise ImageFormatError("truncated PNG chunk CRC")
+        (crc,) = struct.unpack(">I", crc_bytes)
+        if zlib.crc32(tag + body) & 0xFFFFFFFF != crc:
+            raise ImageFormatError(f"PNG chunk {tag!r} CRC mismatch")
+        if (tag == b"IHDR") != (pos == 8):
+            raise ImageFormatError("PNG must begin with its one IHDR chunk")
+        if tag == b"IHDR":
+            if length != 13:
+                raise ImageFormatError(f"PNG IHDR is {length} bytes, not 13")
+            ihdr = struct.unpack(">IIBBBBB", body)
+        elif tag == b"IDAT":
+            idat.append(body)
+        elif tag == b"IEND":
+            break
+        pos += 12 + length
+    return ihdr, b"".join(idat)
+
+
+def _png_inflate(idat: bytes, expected: int) -> bytes:
+    """Inflate exactly ``expected`` bytes; a longer stream is cut off unread."""
+    inflater = zlib.decompressobj()
     try:
-        raw = zlib.decompress(idat)
+        raw = inflater.decompress(idat, expected + 1)
     except zlib.error as exc:
         raise ImageFormatError(f"PNG data stream corrupt: {exc}") from exc
-    stride = w * nch
-    if len(raw) != h * (stride + 1):
+    if len(raw) > expected:
+        raise ImageFormatError("PNG data stream is longer than its IHDR declares")
+    if len(raw) != expected:
         raise ImageFormatError("PNG data stream has wrong length")
+    if not inflater.eof:
+        raise ImageFormatError("PNG data stream is truncated")
+    return raw
+
+
+def _png_unfilter_rows(raw: bytes, ftypes, h: int, stride: int, nch: int):
+    """Images filtered None, Sub and Up only: one row at a time."""
+    lines = np.frombuffer(raw, dtype=np.uint8).reshape(h, stride + 1)[:, 1:]
     out = np.empty((h, stride), dtype=np.uint8)
     prev = np.zeros(stride, dtype=np.uint8)
-    for r in range(h):
-        ftype = raw[r * (stride + 1)]
-        line = np.frombuffer(
-            raw, dtype=np.uint8, count=stride, offset=r * (stride + 1) + 1
-        )
-        out[r] = _png_unfilter_row(ftype, line, prev, nch)
-        prev = out[r]
-    if nch == 1:
-        return out.reshape(h, w)
-    return out.reshape(h, w, 3)
-
-
-def _png_unfilter_row(ftype, line, prev, nch):
-    if ftype == 0:
-        return line.copy()
-    if ftype == 2:
-        return (line.astype(np.int32) + prev).astype(np.uint8)
-    cur = line.astype(np.int32)
-    up = prev.astype(np.int32)
-    out = np.zeros_like(cur)
-    # Sub/average/Paeth need the reconstructed left byte; go bytewise.
-    for i in range(len(cur)):
-        left = out[i - nch] if i >= nch else 0
-        above = up[i]
-        upleft = up[i - nch] if i >= nch else 0
-        if ftype == 1:
-            out[i] = (cur[i] + left) & 0xFF
-        elif ftype == 3:
-            out[i] = (cur[i] + ((left + above) >> 1)) & 0xFF
-        elif ftype == 4:
-            p = left + above - upleft
-            pa, pb, pc = abs(p - left), abs(p - above), abs(p - upleft)
-            if pa <= pb and pa <= pc:
-                pred = left
-            elif pb <= pc:
-                pred = above
-            else:
-                pred = upleft
-            out[i] = (cur[i] + pred) & 0xFF
+    for r, ftype in enumerate(ftypes.tolist()):
+        if ftype == 0:
+            out[r] = lines[r]
+        elif ftype == 1:
+            # Sub: running sum of each channel; uint8 arithmetic wraps mod 256.
+            np.cumsum(
+                lines[r].reshape(-1, nch), axis=0, dtype=np.uint8,
+                out=out[r].reshape(-1, nch),
+            )
         else:
-            raise ImageFormatError(f"unknown PNG filter type {ftype}")
-    return out.astype(np.uint8)
+            np.add(lines[r], prev, out=out[r])
+        prev = out[r]
+    return out
+
+
+def _png_unfilter_wavefront(raw: bytes, ftypes, h: int, w: int, nch: int):
+    """Any mix of the five filters, one anti-diagonal of pixels per step.
+
+    Pixel (r, x) lies on diagonal d = r + x.  Its left and above neighbours
+    lie on diagonal d - 1 and its upper-left neighbour on d - 2, so every
+    pixel of a diagonal can be reconstructed at once.  Both the filtered
+    bytes and the output are read through strided views whose columns are
+    the diagonals; no skewed copy is made.
+    """
+    as_strided = np.lib.stride_tricks.as_strided
+    # Output with a zero top row and left column: the filters read zero
+    # for the neighbours outside the image.
+    padded = np.zeros((h + 1) * (w + 1) * nch, dtype=np.uint8)
+    # skew[r + 1, d + 2] is pixel (r, d - r); its left neighbour is
+    # skew[r + 1, d + 1], above is skew[r, d + 1], upper-left skew[r, d].
+    skew = as_strided(
+        padded, shape=(h + 1, h + w + 1, nch), strides=(w * nch, nch, 1)
+    )
+    # filt[r, d] is the filtered pixel (r, d - r).
+    filt = as_strided(
+        np.frombuffer(raw, dtype=np.uint8)[1:],
+        shape=(h, h + w - 1, nch),
+        strides=((w - 1) * nch + 1, nch, 1),
+        writeable=False,
+    )
+    present = set(ftypes.tolist())
+    # Per-row 0/1 weights of each filter's predictor; summing the weighted
+    # predictors selects one per row (faster than np.choose or np.where).
+    weights = {
+        t: np.repeat((ftypes == t)[:, None], nch, axis=1).astype(np.int16)
+        for t in present - {0}
+    }
+    for d in range(h + w - 1):
+        r0, r1 = max(0, d - w + 1), min(h, d + 1)
+        a = skew[r0 + 1 : r1 + 1, d + 1].astype(np.int16)
+        b = skew[r0:r1, d + 1].astype(np.int16)
+        preds = {1: a, 2: b}
+        if 3 in present:
+            preds[3] = (a + b) >> 1
+        if 4 in present:
+            preds[4] = _paeth(a, b, skew[r0:r1, d].astype(np.int16))
+        pred = sum(preds[t] * wt[r0:r1] for t, wt in weights.items())
+        np.add(
+            filt[r0:r1, d], pred.astype(np.uint8), out=skew[r0 + 1 : r1 + 1, d + 2]
+        )
+    return padded.reshape(h + 1, (w + 1) * nch)[1:, nch:]
+
+
+def _paeth(a, b, c):
+    """Paeth predictor on int16 samples, ties broken left, above, upper-left."""
+    bc = b - c
+    ac = a - c
+    pa = np.abs(bc)
+    pb = np.abs(ac)
+    pc = np.abs(bc + ac)
+    return np.where((pa <= pb) & (pa <= pc), a, np.where(pb <= pc, b, c))
 
 
 def _pnm_encode(arr: np.ndarray) -> bytes:

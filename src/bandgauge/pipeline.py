@@ -19,7 +19,8 @@ from .classifier import (
 from .freq import HighFreqMap, PwsConfig, pws_lfm, sobel_hfm
 from .imgcore import Label, PatchLabel, PlanarImage, tile, to_luma
 from .scoring import BandingMap, QualityScore, banding_map, pool_score
-from .sfmask import grid_stats, mask_weights, spatial_frequency
+from .sfmask import grid_stats, mask_weights
+from .sfmask import spatial_frequency  # noqa: F401 - wrapped by name in perfbench/tracer.py
 
 
 @dataclass(frozen=True)
@@ -73,6 +74,7 @@ def score_image(
     else:
         hfms = [sobel_hfm(grid.extract(luma, k)) for k in range(len(grid))]
 
+    stats = grid_stats(luma, grid)
     if model is not None:
         lfms = [pws_lfm(grid.extract(luma, k), config.pws) for k in range(len(grid))]
         probs = forward_batch(model, hfms, lfms)
@@ -87,16 +89,14 @@ def score_image(
         labels = []
         for k in range(len(grid)):
             mean_grad = float(hfms[k].values.mean())
-            _, _, sf = spatial_frequency(grid.extract(luma, k))
             banded = (
                 mean_grad > config.baseline.grad_floor
-                and sf < config.baseline.sf_ceiling
+                and stats.sf[k] < config.baseline.sf_ceiling
             )
             labels.append(
                 PatchLabel(Label.BANDED if banded else Label.NON_BANDED, 1.0)
             )
 
-    stats = grid_stats(luma, grid)
     weights = mask_weights(stats, n, config.gamma)
     bm = banding_map(grid, labels, weights, hfms)
     qs = pool_score(bm, config.p_percent, config.pooling_mode)

@@ -16,6 +16,7 @@ three scores.  The mean of the kept scores is the MOS.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
@@ -71,8 +72,13 @@ def grubbs_statistic(scores) -> float:
     return max(abs(s - mean) for s in scores) / sd
 
 
+@functools.lru_cache(maxsize=1024)
 def grubbs_threshold(n: int, sig_alpha: float = 0.05) -> float:
-    """Critical value of the two-sided test for a sample of size n."""
+    """Critical value of the two-sided test for a sample of size n.
+
+    Memoised: it depends only on (n, sig_alpha), and outlier removal asks
+    for it again at every step.
+    """
     if n < 3:
         raise ValueError("the test needs at least 3 scores")
     t = student_t_upper_critical(sig_alpha / (2.0 * n), n - 2)

@@ -1,15 +1,21 @@
 """Raster type, codecs, color conversion, and tiling."""
 
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bandgauge import datagen
+from bandgauge.cli import main
 from bandgauge.imgcore import (
+    PNG_MAX_PIXELS,
     ImageFormatError,
     PlanarImage,
+    _png_decode,
     load_image,
     rgb_to_ycbcr420,
     save_image,
@@ -113,31 +119,177 @@ def _filter_row(ftype, row, prev, nch):
     return bytes(out)
 
 
+def _encode_png(pixels, ftypes, idat_chunks=1):
+    """PNG of 8-bit gray (h, w) or RGB (h, w, 3) pixels, row r filtered ftypes[r]."""
+    h, w = pixels.shape[:2]
+    nch = 1 if pixels.ndim == 2 else 3
+    rows = pixels.reshape(h, w * nch)
+    raw = bytearray()
+    prev = bytes(w * nch)
+    for r in range(h):
+        row = rows[r].tobytes()
+        raw.append(ftypes[r])
+        raw += _filter_row(ftypes[r], row, prev, nch)
+        prev = row
+    return _png_blob(w, h, 0 if nch == 1 else 2, zlib.compress(bytes(raw)), idat_chunks)
+
+
+def _png_blob(w, h, color_type, stream, idat_chunks=1, ihdr=None):
+    if ihdr is None:
+        ihdr = struct.pack(">IIBBBBB", w, h, 8, color_type, 0, 0, 0)
+    step = -(-len(stream) // idat_chunks)
+    return (
+        b"\x89PNG\r\n\x1a\n"
+        + _png_chunk(b"IHDR", ihdr)
+        + b"".join(
+            _png_chunk(b"IDAT", stream[i : i + step])
+            for i in range(0, len(stream), step)
+        )
+        + _png_chunk(b"IEND", b"")
+    )
+
+
 @pytest.mark.parametrize("nch", [1, 3])
 def test_png_all_filter_types_decode(nch, rng):
     h, w = 7, 5
     pixels = rng.integers(0, 256, size=(h, w * nch), dtype=np.uint8)
-    raw = bytearray()
-    prev = bytes(w * nch)
-    for r in range(h):
-        ftype = r % 5
-        row = pixels[r].tobytes()
-        raw.append(ftype)
-        raw += _filter_row(ftype, row, prev, nch)
-        prev = row
-    color_type = 0 if nch == 1 else 2
-    ihdr = struct.pack(">IIBBBBB", w, h, 8, color_type, 0, 0, 0)
-    blob = (
-        b"\x89PNG\r\n\x1a\n"
-        + _png_chunk(b"IHDR", ihdr)
-        + _png_chunk(b"IDAT", zlib.compress(bytes(raw)))
-        + _png_chunk(b"IEND", b"")
-    )
-    from bandgauge.imgcore import _png_decode
-
-    got = _png_decode(blob)
     want = pixels.reshape(h, w) if nch == 1 else pixels.reshape(h, w, 3)
-    assert (got == want).all()
+    blob = _encode_png(want, [r % 5 for r in range(h)])
+    assert (_png_decode(blob) == want).all()
+
+
+@st.composite
+def _png_cases(draw):
+    """(pixels, row filter types): gray or RGB, any size from 1x1 up.
+
+    Pixels are coarsened by a drawn shift so that the Paeth distances tie
+    often, which is where a predictor's tie-breaking order shows.
+    """
+    h = draw(st.integers(1, 24))
+    w = draw(st.integers(1, 24))
+    nch = draw(st.sampled_from([1, 3]))
+    data = draw(st.binary(min_size=h * w * nch, max_size=h * w * nch))
+    shift = draw(st.integers(0, 7))
+    pixels = (np.frombuffer(data, dtype=np.uint8) >> shift) << shift
+    pixels = pixels.astype(np.uint8).reshape((h, w) if nch == 1 else (h, w, 3))
+    ftypes = draw(st.lists(st.integers(0, 4), min_size=h, max_size=h))
+    return pixels, ftypes
+
+
+_RAMP = np.arange(0, 240, 16, dtype=np.uint8)
+
+
+@given(_png_cases())
+@example((_RAMP.reshape(-1, 1), [3] * 15))  # 1 pixel wide
+@example((_RAMP.reshape(1, -1), [4]))  # 1 row, Paeth against a zero row
+@example((np.stack([_RAMP.reshape(3, 5)] * 3, axis=-1), [2, 4, 3]))
+@example((np.full((1, 1), 255, dtype=np.uint8), [3]))
+@settings(max_examples=150, deadline=None)
+def test_png_filter_round_trip(case):
+    pixels, ftypes = case
+    got = _png_decode(_encode_png(pixels, ftypes, idat_chunks=1 + len(ftypes) % 3))
+    assert got.shape == pixels.shape
+    assert (got == pixels).all()
+
+
+def _fuzz_source():
+    pixels = np.random.default_rng(5).integers(0, 256, size=(6, 5, 3), dtype=np.uint8)
+    return pixels, _encode_png(pixels, [0, 1, 2, 3, 4, 4], idat_chunks=2)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_png_truncated_anywhere_raises_format_error(data):
+    _, blob = _fuzz_source()
+    cut = data.draw(st.integers(0, len(blob) - 1))
+    with pytest.raises(ImageFormatError):
+        _png_decode(blob[:cut])
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_png_bit_flip_raises_only_format_error(data):
+    pixels, blob = _fuzz_source()
+    bit = data.draw(st.integers(0, 8 * len(blob) - 1))
+    flipped = bytearray(blob)
+    flipped[bit // 8] ^= 1 << (bit % 8)
+    try:
+        got = _png_decode(bytes(flipped))
+    except ImageFormatError:
+        return
+    # Only the signature is outside every CRC, and load_image checks it.
+    assert bit // 8 < 8
+    assert (got == pixels).all()
+
+
+@pytest.mark.parametrize("cut", [1, 2, 3, 4])
+def test_png_cut_final_crc_raises_format_error(tmp_path, cut):
+    path = tmp_path / "cut.png"
+    path.write_bytes(_fuzz_source()[1][:-cut])
+    with pytest.raises(ImageFormatError, match="CRC"):
+        load_image(path)
+    assert main(["detect", str(path), "--out", str(tmp_path / "map.png")]) == 1
+
+
+def test_png_ihdr_body_not_13_bytes_rejected():
+    ihdr = struct.pack(">IIBBBB", 4, 4, 8, 0, 0, 0)
+    blob = _png_blob(4, 4, 0, zlib.compress(bytes(20)), ihdr=ihdr)
+    with pytest.raises(ImageFormatError, match="IHDR"):
+        _png_decode(blob)
+
+
+def test_png_unknown_filter_type_rejected_before_unfiltering():
+    w, h = 4, 3
+    raw = b"".join(bytes([f]) + bytes(w) for f in (4, 3, 5))
+    with pytest.raises(ImageFormatError, match="filter type 5 in row 2"):
+        _png_decode(_png_blob(w, h, 0, zlib.compress(raw)))
+
+
+def test_png_pixel_cap_checked_before_inflating():
+    side = int(PNG_MAX_PIXELS**0.5)
+    blob = _png_blob(side + 1, side, 0, b"not a zlib stream")
+    with pytest.raises(ImageFormatError, match="pixels"):
+        _png_decode(blob)
+    # At the cap, the header passes and the stream is inflated (and fails).
+    with pytest.raises(ImageFormatError, match="corrupt"):
+        _png_decode(_png_blob(side, side, 0, b"not a zlib stream"))
+
+
+def test_png_overlong_stream_rejected_without_inflating_it():
+    # 4x4 gray needs 20 bytes; the stream holds 8 MiB of zeros.
+    blob = _png_blob(4, 4, 0, zlib.compress(bytes(8 << 20), 9))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ImageFormatError, match="longer"):
+            _png_decode(blob)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (1 << 20)
+
+
+def test_png_short_or_unterminated_stream_rejected():
+    raw = bytes(5) * 4
+    with pytest.raises(ImageFormatError, match="wrong length"):
+        _png_decode(_png_blob(4, 4, 0, zlib.compress(raw[:-1])))
+    # All 20 bytes present but the stream's end (and checksum) cut off.
+    with pytest.raises(ImageFormatError, match="truncated"):
+        _png_decode(_png_blob(4, 4, 0, zlib.compress(raw)[:-4]))
+
+
+def test_png_header_out_of_place_rejected():
+    ihdr = _png_chunk(b"IHDR", struct.pack(">IIBBBBB", 2, 2, 8, 0, 0, 0, 0))
+    idat = _png_chunk(b"IDAT", zlib.compress(bytes(6)))
+    iend = _png_chunk(b"IEND", b"")
+    for chunks in (idat + ihdr, ihdr + ihdr + idat, iend):
+        with pytest.raises(ImageFormatError, match="IHDR"):
+            _png_decode(b"\x89PNG\r\n\x1a\n" + chunks + iend)
+
+
+def test_png_without_iend_rejected():
+    blob = _encode_png(np.zeros((2, 2), dtype=np.uint8), [0, 0])
+    with pytest.raises(ImageFormatError, match="IEND"):
+        _png_decode(blob[:-12])
 
 
 def test_load_errors(tmp_path):
