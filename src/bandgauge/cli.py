@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import json
 import os
 import sys
@@ -125,14 +126,8 @@ def _pick(args, filecfg, key, default):
 
 
 def _run_config(args, filecfg, default_patch=235) -> RunConfig:
-    pws_file = filecfg.get("pws", {})
-    pws = PwsConfig(
-        reg_alpha=pws_file.get("reg_alpha", 2.0),
-        reg_beta=pws_file.get("reg_beta", 0.05),
-        edge_threshold=pws_file.get("edge_threshold"),
-        max_iters=pws_file.get("max_iters", 120),
-        tol=pws_file.get("tol", 1e-5),
-    )
+    pws_keys = {f.name for f in dataclasses.fields(PwsConfig)}
+    pws = PwsConfig(**{k: v for k, v in filecfg.get("pws", {}).items() if k in pws_keys})
     base_file = filecfg.get("baseline", {})
     baseline = BaselineConfig(
         grad_floor=base_file.get("grad_floor", 0.005),

@@ -251,7 +251,7 @@ def make_dataset(
         raise ValueError("need at least 10 images for a meaningful split")
     if len(split) != 3 or abs(sum(split) - 1.0) > 1e-9 or min(split) < 0:
         raise ValueError("split must be three non-negative fractions summing to 1")
-    pws_cfg = pws_cfg or PwsConfig(max_iters=120, tol=1e-5)
+    pws_cfg = pws_cfg or PwsConfig()
 
     n_train = int(round(split[0] * n_images))
     n_val = int(round(split[1] * n_images))
@@ -342,7 +342,7 @@ def read_manifest(path):
 
 def load_dataset(manifest_path, pws_cfg: PwsConfig | None = None):
     """Rebuild split patch-sample lists from a manifest and its images."""
-    pws_cfg = pws_cfg or PwsConfig(max_iters=120, tol=1e-5)
+    pws_cfg = pws_cfg or PwsConfig()
     rows = read_manifest(manifest_path)
     base = os.path.dirname(os.path.abspath(manifest_path))
     buckets = {"train": [], "val": [], "test": []}

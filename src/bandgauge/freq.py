@@ -14,7 +14,9 @@ lie outside a frozen edge set E.  E is fixed up front from the input's
 forward-difference gradient magnitude (threshold tau, default mean + 2 std),
 which turns the problem into a single positive-definite quadratic.  That
 quadratic is solved by red-black Gauss-Seidel sweeps with natural (Neumann)
-boundary handling; red-black ordering makes every sweep deterministic and
+boundary handling: L sits in a zero-bordered buffer, and a sweep updates
+its stride-2 sub-lattices (0,0), (1,1) (red) then (0,1), (1,0) (black) with
+0/1 pair weights.  Red-black ordering makes every sweep deterministic and
 exact coordinate minimization makes the energy non-increasing per sweep.
 Smoothing never crosses E, so strong edges survive while plateau noise is
 averaged away.
@@ -94,16 +96,19 @@ class PwsConfig:
     reg_alpha: float = 2.0
     reg_beta: float = 0.05
     edge_threshold: float | None = None
-    max_iters: int = 500
-    tol: float = 1e-6
+    max_iters: int = 120
+    tol: float = 1e-5
 
     def __post_init__(self):
-        if self.reg_alpha <= 0 or self.reg_beta <= 0:
-            raise ValueError("regularization constants must be positive")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        for name in ("reg_alpha", "reg_beta", "tol", "edge_threshold"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        if self.reg_alpha <= 0 or self.reg_beta <= 0 or self.tol <= 0:
+            raise ValueError("reg_alpha, reg_beta and tol must be positive")
+        n = self.max_iters
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"max_iters must be an int of at least 1, got {n!r}")
 
 
 def _as_plane(img) -> np.ndarray:
@@ -151,11 +156,8 @@ def edge_set(img, threshold: float | None = None) -> np.ndarray:
 
 
 def _pair_masks(edges: np.ndarray):
-    # A smoothness pair is active only when neither endpoint is an edge pixel.
-    keep = ~edges
-    active_h = keep[:, :-1] & keep[:, 1:]
-    active_v = keep[:-1, :] & keep[1:, :]
-    return active_h, active_v
+    keep = ~edges  # a pair is active only when neither endpoint is an edge
+    return keep[:, :-1] & keep[:, 1:], keep[:-1] & keep[1:]
 
 
 def pws_energy(i_arr, l_arr, edges: np.ndarray, cfg: PwsConfig) -> float:
@@ -164,12 +166,17 @@ def pws_energy(i_arr, l_arr, edges: np.ndarray, cfg: PwsConfig) -> float:
     l_arr = _as_plane(l_arr)
     if i_arr.shape != l_arr.shape or i_arr.shape != edges.shape:
         raise ValueError("image, field, and edge mask must share one shape")
-    active_h, active_v = _pair_masks(edges)
-    data = 0.5 * float(((i_arr - l_arr) ** 2).sum())
-    dh = l_arr[:, 1:] - l_arr[:, :-1]
-    dv = l_arr[1:, :] - l_arr[:-1, :]
-    smooth = float((dh * dh)[active_h].sum() + (dv * dv)[active_v].sum())
-    return data + cfg.reg_alpha * smooth + cfg.reg_beta * float(edges.sum())
+    return _energy(i_arr, l_arr, *_pair_masks(edges), cfg, float(edges.sum()))
+
+
+def _energy(i_arr, l_arr, pair_h, pair_v, cfg: PwsConfig, n_edges: float) -> float:
+    d, dh, dv = i_arr - l_arr, l_arr[:, 1:] - l_arr[:, :-1], l_arr[1:] - l_arr[:-1]
+    for t in (d, dh, dv):
+        t *= t
+    dh *= pair_h
+    dv *= pair_v
+    smooth = float(dh.sum() + dv.sum())
+    return 0.5 * float(d.sum()) + cfg.reg_alpha * smooth + cfg.reg_beta * n_edges
 
 
 def pws_lfm(img, cfg: PwsConfig = PwsConfig()) -> LowFreqMap:
@@ -178,42 +185,35 @@ def pws_lfm(img, cfg: PwsConfig = PwsConfig()) -> LowFreqMap:
     if not np.isfinite(arr).all():
         raise ValueError("input contains non-finite samples")
     edges = edge_set(arr, cfg.edge_threshold)
-    active_h, active_v = _pair_masks(edges)
     h, w = arr.shape
-
-    wl = np.zeros((h, w))
-    wr = np.zeros((h, w))
-    wu = np.zeros((h, w))
-    wd = np.zeros((h, w))
-    wl[:, 1:] = active_h
-    wr[:, :-1] = active_h
-    wu[1:, :] = active_v
-    wd[:-1, :] = active_v
-    deg = wl + wr + wu + wd
-
+    # Column x of wh weighs the pair (x-1, x), row y of wv the pair (y-1, y).
+    wh, wv = np.zeros((h, w + 1)), np.zeros((h + 1, w))
+    wh[:, 1:-1], wv[1:-1] = _pair_masks(edges)
+    wl, wr, wu, wd = wh[:, :-1], wh[:, 1:], wv[:-1], wv[1:]
     a2 = 2.0 * cfg.reg_alpha
-    diag = 1.0 + a2 * deg
-    yy, xx = np.indices((h, w))
-    red = (yy + xx) % 2 == 0
-    black = ~red
+    diag = 1.0 + a2 * (wl + wr + wu + wd)
+    pad = np.pad(arr, 1)
+    l_cur = pad[1:-1, 1:-1]
+    lattices = []
+    for py, px in ((0, 0), (1, 1), (0, 1), (1, 0)):
+        views = [pad[py + 1 + dy : h + 1 + dy : 2, px + 1 + dx : w + 1 + dx : 2]
+                 for dy, dx in ((0, 0), (0, -1), (0, 1), (-1, 0), (1, 0))]
+        coefs = [c[py::2, px::2].copy() for c in (wl, wr, wu, wd, arr, diag)]
+        lattices.append((views, coefs))
+    pair_h, pair_v, n_edges = wh[:, 1:-1].copy(), wv[1:-1].copy(), float(edges.sum())
 
-    l_cur = arr.copy()
-    trace = [pws_energy(arr, l_cur, edges, cfg)]
+    trace = [_energy(arr, l_cur, pair_h, pair_v, cfg, n_edges)]
     for _ in range(cfg.max_iters):
-        for mask in (red, black):
-            ns = _neighbor_sum(l_cur, wl, wr, wu, wd)
-            l_cur[mask] = (arr[mask] + a2 * ns[mask]) / diag[mask]
-        trace.append(pws_energy(arr, l_cur, edges, cfg))
-        prev, cur = trace[-2], trace[-1]
-        if abs(prev - cur) <= cfg.tol * max(abs(prev), 1e-30):
+        for (centre, left, right, up, down), (cl, cr, cu, cd, arr_s, diag_s) in lattices:
+            # (arr + a2 * (wl*left + wr*right + wu*up + wd*down)) / diag, in this order
+            ns = cl * left
+            ns += cr * right
+            ns += cu * up
+            ns += cd * down
+            ns *= a2
+            ns += arr_s
+            np.divide(ns, diag_s, out=centre)
+        trace.append(_energy(arr, l_cur, pair_h, pair_v, cfg, n_edges))
+        if abs(trace[-2] - trace[-1]) <= cfg.tol * max(abs(trace[-2]), 1e-30):
             break
     return LowFreqMap(np.clip(l_cur, arr.min(), arr.max()), tuple(trace))
-
-
-def _neighbor_sum(l_cur, wl, wr, wu, wd):
-    ns = np.zeros_like(l_cur)
-    ns[:, 1:] += wl[:, 1:] * l_cur[:, :-1]
-    ns[:, :-1] += wr[:, :-1] * l_cur[:, 1:]
-    ns[1:, :] += wu[1:, :] * l_cur[:-1, :]
-    ns[:-1, :] += wd[:-1, :] * l_cur[1:, :]
-    return ns

@@ -37,7 +37,7 @@ class RunConfig:
     gamma: float = 1.5
     pooling_mode: str = "per_patch"
     hfm_scope: str = "patch"
-    pws: PwsConfig = field(default_factory=lambda: PwsConfig(max_iters=120, tol=1e-5))
+    pws: PwsConfig = field(default_factory=PwsConfig)
     baseline: BaselineConfig = field(default_factory=BaselineConfig)
     seed: int = 0
     threads: int = 1

@@ -25,8 +25,9 @@ from bandgauge.classifier import (
     save_params,
     train,
 )
-from bandgauge.freq import HighFreqMap, LowFreqMap, PwsConfig, sobel_hfm
+from bandgauge.freq import HighFreqMap, LowFreqMap, PwsConfig, pws_lfm, sobel_hfm
 from bandgauge.imgcore import Label, PatchLabel
+from bandgauge.pipeline import RunConfig
 from bandgauge.sfmask import spatial_frequency
 from conftest import quantized_ramp_patch
 
@@ -312,6 +313,15 @@ def test_tie_is_non_banded():
     label = predict(params, np.full((8, 8), 0.5), PwsConfig(max_iters=5))
     assert label.value is Label.NON_BANDED
     assert label.confidence == 0.5
+
+
+def test_predict_solves_like_the_pipeline(rng):
+    # predict() without a config builds the low-frequency map exactly as
+    # score_image and the training data do.
+    params = tiny_params(patch=16, seed=3)
+    patch = quantized_ramp_patch(16, levels=3) + rng.normal(0.0, 0.02, (16, 16))
+    p = forward(params, sobel_hfm(patch), pws_lfm(patch, RunConfig().pws))
+    assert predict(params, patch).confidence == max(p, 1.0 - p)
 
 
 def test_trained_model_separates_ramp_from_noise():

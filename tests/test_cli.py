@@ -139,6 +139,16 @@ def test_config_file_precedence(tmp_path):
     assert main(["--config", str(cfg), "score", str(p), "--out", str(out)]) == 1
 
 
+@pytest.mark.parametrize(
+    "pws", [{"reg_alpha": float("nan")}, {"tol": float("inf")}, {"max_iters": 2.5}]
+)
+def test_bad_solver_config_exits_1(tmp_path, pws):
+    p = write_ramp(tmp_path, 4)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"pws": pws}))
+    assert main(["--config", str(cfg), "score", str(p), "--out", str(tmp_path / "s.csv")]) == 1
+
+
 # --- detect command ----------------------------------------------------------------
 
 

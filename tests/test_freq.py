@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bandgauge.freq import (
     PwsConfig,
@@ -10,6 +13,7 @@ from bandgauge.freq import (
     pws_lfm,
     sobel_hfm,
 )
+from bandgauge.pipeline import RunConfig
 
 SQ2 = np.sqrt(2.0)
 
@@ -39,6 +43,57 @@ def dense_direct_solve(i_arr, edges, alpha):
                     a[p, q] -= 2.0 * alpha
                     a[q, p] -= 2.0 * alpha
     return np.linalg.solve(a, i_arr.ravel()).reshape(h, w)
+
+
+def masked_energy(i_arr, l_arr, edges, cfg):
+    """The objective with the pair masks applied by boolean compaction."""
+    keep = ~edges
+    active_h = keep[:, :-1] & keep[:, 1:]
+    active_v = keep[:-1, :] & keep[1:, :]
+    data = 0.5 * float(((i_arr - l_arr) ** 2).sum())
+    dh = l_arr[:, 1:] - l_arr[:, :-1]
+    dv = l_arr[1:, :] - l_arr[:-1, :]
+    smooth = float((dh * dh)[active_h].sum() + (dv * dv)[active_v].sum())
+    return data + cfg.reg_alpha * smooth + cfg.reg_beta * float(edges.sum())
+
+
+def masked_red_black(arr, cfg):
+    """Reference solver: full-grid neighbour sums and boolean colour masks.
+
+    The same update (arr + 2 alpha * ns) / diag, with ns summed left, right,
+    up, down, and the same stop rule as pws_lfm, applied one colour at a time
+    over the whole grid.  Returns (clipped field, energy trace).
+    """
+    edges = edge_set(arr, cfg.edge_threshold)
+    keep = ~edges
+    active_h = keep[:, :-1] & keep[:, 1:]
+    active_v = keep[:-1, :] & keep[1:, :]
+    h, w = arr.shape
+    wl, wr, wu, wd = (np.zeros((h, w)) for _ in range(4))
+    wl[:, 1:] = active_h
+    wr[:, :-1] = active_h
+    wu[1:, :] = active_v
+    wd[:-1, :] = active_v
+    a2 = 2.0 * cfg.reg_alpha
+    diag = 1.0 + a2 * (wl + wr + wu + wd)
+    yy, xx = np.indices((h, w))
+    red = (yy + xx) % 2 == 0
+
+    l_cur = arr.copy()
+    trace = [masked_energy(arr, l_cur, edges, cfg)]
+    for _ in range(cfg.max_iters):
+        for mask in (red, ~red):
+            ns = np.zeros_like(l_cur)
+            ns[:, 1:] += wl[:, 1:] * l_cur[:, :-1]
+            ns[:, :-1] += wr[:, :-1] * l_cur[:, 1:]
+            ns[1:, :] += wu[1:, :] * l_cur[:-1, :]
+            ns[:-1, :] += wd[:-1, :] * l_cur[1:, :]
+            l_cur[mask] = (arr[mask] + a2 * ns[mask]) / diag[mask]
+        trace.append(masked_energy(arr, l_cur, edges, cfg))
+        prev, cur = trace[-2], trace[-1]
+        if abs(prev - cur) <= cfg.tol * max(abs(prev), 1e-30):
+            break
+    return np.clip(l_cur, arr.min(), arr.max()), trace
 
 
 # --- Sobel HFM ----------------------------------------------------------------
@@ -215,8 +270,85 @@ def test_nonfinite_input_rejected():
         pws_lfm(arr, PwsConfig())
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"reg_alpha": np.nan},
+        {"reg_alpha": np.inf},
+        {"reg_beta": np.nan},
+        {"tol": np.nan},
+        {"tol": np.inf},
+        {"edge_threshold": np.nan},
+        {"edge_threshold": -np.inf},
+        {"max_iters": 2.5},
+        {"max_iters": 120.0},
+        {"max_iters": True},
+        {"max_iters": "120"},
+        {"max_iters": 0},
+    ],
+    ids=lambda bad: "-".join(f"{k}={v!r}" for k, v in bad.items()),
+)
+def test_nonfinite_or_non_int_config_rejected(bad):
+    with pytest.raises(ValueError):
+        PwsConfig(**bad)
+
+
+def test_solver_defaults_defined_once():
+    cfg = PwsConfig()
+    assert (cfg.reg_alpha, cfg.reg_beta, cfg.max_iters, cfg.tol) == (2.0, 0.05, 120, 1e-5)
+    assert cfg.edge_threshold is None
+    assert RunConfig().pws == cfg
+    assert PwsConfig(max_iters=np.int64(7)).max_iters == 7
+
+
 def test_bad_config_rejected():
     with pytest.raises(ValueError):
         PwsConfig(reg_alpha=0.0)
     with pytest.raises(ValueError):
         PwsConfig(tol=-1.0)
+
+
+# --- strided sub-lattice sweeps against the masked reference ----------------------
+
+_ROW = np.array([[0.1, 0.9, 0.3, 0.35, 0.8, 0.2, 0.6]])
+
+
+@st.composite
+def _solver_cases(draw):
+    h = draw(st.integers(1, 17))
+    w = draw(st.integers(1, 17))
+    arr = draw(hnp.arrays(np.float64, (h, w), elements=st.floats(0.0, 1.0)))
+    cfg = PwsConfig(
+        reg_alpha=draw(st.floats(0.05, 8.0)),
+        edge_threshold=draw(st.none() | st.floats(0.0, 0.8)),
+        max_iters=draw(st.integers(1, 60)),
+    )
+    return arr, cfg
+
+
+@given(_solver_cases())
+@example((_ROW, PwsConfig()))  # 1 x n
+@example((_ROW.T, PwsConfig(edge_threshold=0.3)))  # n x 1
+@example((np.full((1, 1), 0.4), PwsConfig()))
+@example((np.array([[0.0, 1.0], [1.0, 0.0]]), PwsConfig(reg_alpha=0.5, max_iters=40)))
+@example((np.arange(35.0).reshape(5, 7) % 4 / 3, PwsConfig(max_iters=60)))  # odd sides
+@example((np.arange(48.0).reshape(6, 8) % 5 / 4, PwsConfig(edge_threshold=0.0)))  # even
+@settings(max_examples=200, deadline=None)
+def test_strided_sweeps_match_masked_red_black(case):
+    arr, cfg = case
+    lfm = pws_lfm(arr, cfg)
+    want, want_trace = masked_red_black(arr, cfg)
+    assert np.array_equal(lfm.values, want)
+    assert len(lfm.energy_trace) == len(want_trace)  # same sweep count
+    np.testing.assert_allclose(lfm.energy_trace, want_trace, rtol=1e-12, atol=1e-300)
+
+
+def test_final_energy_is_the_documented_objective(rng):
+    for h, w in ((1, 9), (9, 1), (2, 2), (15, 16), (33, 21), (64, 64)):
+        arr = rng.random((h, w))
+        cfg = PwsConfig(reg_alpha=float(rng.uniform(0.5, 4.0)))
+        lfm = pws_lfm(arr, cfg)
+        edges = edge_set(arr)
+        want = pws_energy(arr, lfm.values, edges, cfg)
+        assert lfm.energy_trace[-1] == pytest.approx(want, rel=1e-12)
+        assert want == pytest.approx(masked_energy(arr, lfm.values, edges, cfg), rel=1e-12)
