@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .checks import check
 from .freq import HighFreqMap, LowFreqMap, PwsConfig, pws_lfm, sobel_hfm
 from .imgcore import Label, PatchLabel, PlanarImage, to_luma
 from .sfmask import spatial_frequency
@@ -113,10 +114,17 @@ class TrainConfig:
     fc_width: int = 128
 
     def __post_init__(self):
+        check("learning_rate", self.learning_rate, gt=0)
+        for name in ("batch_size", "epochs", "fc_width"):
+            check(name, getattr(self, name), int, ge=1)
+        check("seed", self.seed, int, ge=0)
+        check("patch_size", self.patch_size, int, ge=8)
+        for width in self.widths:
+            check("widths", width, int, ge=1)
+        for frac in self.split:
+            check("split", frac, ge=0)
         if abs(sum(self.split) - 1.0) > 1e-9:
             raise ValueError("split fractions must sum to 1")
-        if self.epochs < 1:
-            raise ValueError("need at least one epoch")
 
 
 @dataclass(frozen=True)
@@ -151,6 +159,16 @@ class BaselineConfig:
 
     grad_floor: float = 0.005
     sf_ceiling: float = 0.1
+
+    def __post_init__(self):
+        check("grad_floor", self.grad_floor, ge=0)
+        check("sf_ceiling", self.sf_ceiling, ge=0)
+
+    def banded(self, mean_grad, sf):
+        """The rule, on scalars or per-patch arrays: contours present
+        (mean gradient magnitude above the floor), overall activity low
+        (spatial frequency below the ceiling)."""
+        return (mean_grad > self.grad_floor) & (sf < self.sf_ceiling)
 
 
 def init_params(
@@ -510,7 +528,7 @@ def baseline_predict(patch, cfg: BaselineConfig = BaselineConfig()) -> PatchLabe
         raise ValueError("baseline rule needs patches of at least 8x8")
     mean_grad = float(sobel_hfm(luma).values.mean())
     _, _, sf = spatial_frequency(luma)
-    banded = mean_grad > cfg.grad_floor and sf < cfg.sf_ceiling
+    banded = cfg.banded(mean_grad, sf)
     return PatchLabel(Label.BANDED if banded else Label.NON_BANDED, 1.0)
 
 

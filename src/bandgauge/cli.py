@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Subcommands: score, detect, gen, train, eval, mos.  Option precedence is
-flags > JSON config file > built-in defaults.  Exit codes: 0 success,
-1 input error, 2 numerical failure.
+flags > JSON config file > the defaults of the config dataclasses (of
+datagen.make_dataset for gen), whose field names are the config keys.  Exit
+codes: 0 success, 1 input error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ import sys
 import numpy as np
 
 from . import classifier, datagen, evalharness, subjective
-from .classifier import BaselineConfig, TrainConfig, TrainingDivergedError
-from .freq import PwsConfig
-from .imgcore import ImageFormatError, load_image, save_image
+from .classifier import TrainConfig, TrainingDivergedError
+from .freq import pws_lfm, sobel_hfm
+from .imgcore import ImageFormatError, load_image, save_image, to_luma
 from .pipeline import RunConfig, score_image
-from .scoring import map_to_image
+from .scoring import map_to_image, to_8bit
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -52,9 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--patch-size", type=int)
     sc.add_argument("--p-percent", type=float)
     sc.add_argument("--gamma", type=float)
-    sc.add_argument("--pooling", choices=["per_patch", "global"])
-    sc.add_argument("--hfm-scope", choices=["patch", "image"], dest="hfm_scope")
-    sc.add_argument("--seed", type=int)
+    sc.add_argument("--hfm-scope", dest="hfm_scope", help="patch or image")
     sc.add_argument("--threads", type=int)
     sc.add_argument("--out", help="CSV report path (default stdout)")
 
@@ -101,72 +100,83 @@ def _build_parser() -> argparse.ArgumentParser:
     mo = sub.add_parser("mos", help="screen ratings and aggregate MOS")
     mo.add_argument("--ratings", required=True, help="CSV image_id,rater_id,score")
     mo.add_argument("--out", required=True)
-    mo.add_argument("--alpha", type=float)
+    mo.add_argument("--alpha", type=float, dest="sig_alpha")
     mo.add_argument("--sd-multiplier", type=float)
     return parser
 
 
+# The settings each subcommand takes from its flags and config file: the
+# target they build and the target's keywords they may set.
+_RUN_SETTINGS = (RunConfig, tuple(f.name for f in dataclasses.fields(RunConfig)))
+_SETTINGS = {
+    "score": _RUN_SETTINGS,
+    "detect": _RUN_SETTINGS,
+    "gen": (dict, ("seed", "patch_size", "image_size")),  # make_dataset keywords
+    "train": (TrainConfig, ("learning_rate", "batch_size", "epochs", "seed", "patch_size")),
+    "mos": (subjective.OutlierConfig, ("sig_alpha", "sd_multiplier")),
+}
+# Nested config sections (RunConfig's pws and baseline): key -> dataclass.
+_SECTIONS = {
+    f.name: f.default_factory
+    for f in dataclasses.fields(RunConfig)
+    if dataclasses.is_dataclass(f.default_factory)
+}
+
+
 def _load_config_file(path):
+    """The config file as a dict; a key no subcommand reads is an error."""
     if path is None:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: config must be a JSON object")
+    known = {name for _, names in _SETTINGS.values() for name in names}
+    for key, value in data.items():
+        if key not in known:
+            raise ValueError(f"{path}: unknown config key {key}")
+        if key not in _SECTIONS:
+            continue
+        if not isinstance(value, dict):
+            raise ValueError(f"{path}: config key {key} must be a JSON object")
+        unknown = sorted(value.keys() - {f.name for f in dataclasses.fields(_SECTIONS[key])})
+        if unknown:
+            raise ValueError(f"{path}: unknown config key {key}.{unknown[0]}")
     return data
 
 
-def _pick(args, filecfg, key, default):
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    if key in filecfg:
-        return filecfg[key]
-    return default
+def _settings(args, filecfg) -> dict:
+    """Keywords for the command's target, flag > config file; names set by
+    neither are left to the target's own defaults."""
+    out = {}
+    for name in _SETTINGS[args.command][1]:
+        if getattr(args, name, None) is not None:
+            out[name] = getattr(args, name)
+        elif name in _SECTIONS and name in filecfg:
+            out[name] = _SECTIONS[name](**filecfg[name])
+        elif name in filecfg:
+            out[name] = filecfg[name]
+    return out
 
 
-def _run_config(args, filecfg, default_patch=235) -> RunConfig:
-    pws_keys = {f.name for f in dataclasses.fields(PwsConfig)}
-    pws = PwsConfig(**{k: v for k, v in filecfg.get("pws", {}).items() if k in pws_keys})
-    base_file = filecfg.get("baseline", {})
-    baseline = BaselineConfig(
-        grad_floor=base_file.get("grad_floor", 0.005),
-        sf_ceiling=base_file.get("sf_ceiling", 0.1),
-    )
-    return RunConfig(
-        patch_size=_pick(args, filecfg, "patch_size", default_patch),
-        p_percent=_pick(args, filecfg, "p_percent", 80.0),
-        gamma=_pick(args, filecfg, "gamma", 1.5),
-        pooling_mode=_pick(args, filecfg, "pooling", "per_patch"),
-        hfm_scope=_pick(args, filecfg, "hfm_scope", "patch"),
-        pws=pws,
-        baseline=baseline,
-        seed=_pick(args, filecfg, "seed", 0),
-        threads=_threads(args, filecfg),
-    )
-
-
-def _threads(args, filecfg) -> int:
-    val = getattr(args, "threads", None)
-    if val is None:
-        val = filecfg.get("threads")
-    if val is None:
-        val = os.environ.get("BANDGAUGE_THREADS")
-    try:
-        n = int(val) if val is not None else 1
-    except ValueError:
-        raise ValueError(f"thread count {val!r} is not an integer") from None
-    return max(n, 1)
-
-
-def _load_model(path):
-    return classifier.load_params(path) if path else None
+def _config_and_model(args, filecfg):
+    """RunConfig and model of score/detect; an unset patch size follows the model."""
+    settings = _settings(args, filecfg)
+    threads = os.environ.get("BANDGAUGE_THREADS")
+    if threads is not None and "threads" not in settings:
+        try:
+            settings["threads"] = int(threads)
+        except ValueError:
+            raise ValueError(f"BANDGAUGE_THREADS={threads!r} is not an integer") from None
+    config = RunConfig(**settings)
+    model = classifier.load_params(args.model) if args.model else None
+    if model is not None and "patch_size" not in settings:
+        config = dataclasses.replace(config, patch_size=model.patch_size)
+    return config, model
 
 
 def _cmd_score(args, filecfg) -> int:
-    model = _load_model(args.model)
-    default_patch = model.patch_size if model is not None else 235
-    config = _run_config(args, filecfg, default_patch)
+    config, model = _config_and_model(args, filecfg)
     lines = ["path,q,banded_patch_count,total_patches"]
     failures = 0
 
@@ -197,63 +207,34 @@ def _cmd_score(args, filecfg) -> int:
 
 
 def _cmd_detect(args, filecfg) -> int:
-    model = _load_model(args.model)
-    default_patch = model.patch_size if model is not None else 235
-    config = _run_config(args, filecfg, default_patch)
+    config, model = _config_and_model(args, filecfg)
     img = load_image(args.image)
     res = score_image(img, config, model)
     save_image(map_to_image(res.bmap), args.out)
     if args.raw:
         np.save(args.raw, res.bmap.values)
     if args.dump_freq:
-        _dump_frequency_maps(img, config, args.dump_freq)
+        luma = to_luma(img).planes[0].astype("float64")
+        save_image(to_8bit(sobel_hfm(luma).values), f"{args.dump_freq}.hfm.pgm")
+        save_image(to_8bit(pws_lfm(luma, config.pws).values), f"{args.dump_freq}.lfm.pgm")
     print(f"{args.image}: q={res.score.q:.10g} map={args.out}")
     return EXIT_OK
 
 
-def _dump_frequency_maps(img, config, prefix) -> None:
-    from .freq import pws_lfm, sobel_hfm
-    from .imgcore import PlanarImage, to_luma
-
-    luma = to_luma(img).planes[0].astype("float64")
-    for tag, values in (
-        ("hfm", sobel_hfm(luma).values),
-        ("lfm", pws_lfm(luma, config.pws).values),
-    ):
-        vmax, vmin = float(values.max()), float(values.min())
-        if vmax > vmin:
-            arr = np.rint((values - vmin) / (vmax - vmin) * 255.0).astype(np.uint8)
-        else:
-            arr = np.zeros(values.shape, dtype=np.uint8)
-        save_image(PlanarImage.from_array(arr), f"{prefix}.{tag}.pgm")
-
-
 def _cmd_gen(args, filecfg) -> int:
-    datagen.make_dataset(
-        n_images=args.n,
-        seed=_pick(args, filecfg, "seed", 0),
-        patch_size=_pick(args, filecfg, "patch_size", 64),
-        image_size=_pick(args, filecfg, "image_size", 256),
-        out_dir=args.out,
-    )
+    datagen.make_dataset(n_images=args.n, out_dir=args.out, **_settings(args, filecfg))
     print(f"dataset written to {args.out}")
     return EXIT_OK
 
 
 def _cmd_train(args, filecfg) -> int:
+    settings = _settings(args, filecfg)
+    cfg = TrainConfig(**settings)
     bundle = datagen.load_dataset(args.manifest)
     if not bundle.train or not bundle.val:
         raise ValueError("manifest must provide non-empty train and val splits")
-    patch_size = _pick(args, filecfg, "patch_size", None)
-    if patch_size is None:
-        patch_size = bundle.train[0].hfm.values.shape[0]
-    cfg = TrainConfig(
-        learning_rate=_pick(args, filecfg, "learning_rate", 1e-4),
-        batch_size=_pick(args, filecfg, "batch_size", 32),
-        epochs=_pick(args, filecfg, "epochs", 25),
-        seed=_pick(args, filecfg, "seed", 0),
-        patch_size=patch_size,
-    )
+    if "patch_size" not in settings:
+        cfg = dataclasses.replace(cfg, patch_size=bundle.train[0].hfm.values.shape[0])
     params, history = classifier.train(
         bundle.train, cfg, val_samples=bundle.val, report_path=args.report
     )
@@ -353,10 +334,7 @@ def _write_points(path, header, points) -> None:
 
 
 def _cmd_mos(args, filecfg) -> int:
-    cfg = subjective.OutlierConfig(
-        sig_alpha=_pick(args, filecfg, "alpha", 0.05),
-        sd_multiplier=_pick(args, filecfg, "sd_multiplier", 2.5),
-    )
+    cfg = subjective.OutlierConfig(**_settings(args, filecfg))
     ratings = subjective.read_ratings_csv(args.ratings)
     results = subjective.mos_pipeline(ratings, cfg)
     subjective.write_mos_csv(results, args.out)

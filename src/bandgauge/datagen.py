@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import check
 from .classifier import PatchSample
 from .freq import PwsConfig, pws_lfm, sobel_hfm
 from .imgcore import (
@@ -234,7 +235,7 @@ class DatasetBundle:
 
 def make_dataset(
     n_images: int,
-    seed: int,
+    seed: int = 0,
     split=(0.8, 0.1, 0.1),
     patch_size: int = 64,
     image_size: int = 256,
@@ -247,6 +248,9 @@ def make_dataset(
     Whole images are assigned to train/val/test; when out_dir is given the
     images are written as PNG and a manifest.csv alongside them.
     """
+    check("seed", seed, int, ge=0)
+    check("patch_size", patch_size, int, ge=8)
+    check("image_size", image_size, int, ge=16)
     if n_images < 10:
         raise ValueError("need at least 10 images for a meaningful split")
     if len(split) != 3 or abs(sum(split) - 1.0) > 1e-9 or min(split) < 0:

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import check
 from .imgcore import PlanarImage
 
 _SQ2 = np.sqrt(2.0)
@@ -100,15 +101,10 @@ class PwsConfig:
     tol: float = 1e-5
 
     def __post_init__(self):
-        for name in ("reg_alpha", "reg_beta", "tol", "edge_threshold"):
-            value = getattr(self, name)
-            if value is not None and not np.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.reg_alpha <= 0 or self.reg_beta <= 0 or self.tol <= 0:
-            raise ValueError("reg_alpha, reg_beta and tol must be positive")
-        n = self.max_iters
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValueError(f"max_iters must be an int of at least 1, got {n!r}")
+        for name in ("reg_alpha", "reg_beta", "tol"):
+            check(name, getattr(self, name), gt=0)
+        check("edge_threshold", self.edge_threshold, optional=True)
+        check("max_iters", self.max_iters, int, ge=1)
 
 
 def _as_plane(img) -> np.ndarray:

@@ -11,11 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifier import (
-    BaselineConfig,
-    DualNetParams,
-    forward_batch,
-)
+from .checks import check
+from .classifier import BaselineConfig, DualNetParams, forward_batch
 from .freq import HighFreqMap, PwsConfig, pws_lfm, sobel_hfm
 from .imgcore import Label, PatchLabel, PlanarImage, tile, to_luma
 from .scoring import BandingMap, QualityScore, banding_map, pool_score
@@ -35,16 +32,18 @@ class RunConfig:
     patch_size: int = 235
     p_percent: float = 80.0
     gamma: float = 1.5
-    pooling_mode: str = "per_patch"
     hfm_scope: str = "patch"
     pws: PwsConfig = field(default_factory=PwsConfig)
     baseline: BaselineConfig = field(default_factory=BaselineConfig)
-    seed: int = 0
     threads: int = 1
 
     def __post_init__(self):
+        check("patch_size", self.patch_size, int, ge=8)
+        check("p_percent", self.p_percent, gt=0, le=100)
+        check("gamma", self.gamma, gt=0)
+        check("threads", self.threads, int, ge=1)
         if self.hfm_scope not in ("patch", "image"):
-            raise ValueError(f"unknown hfm scope {self.hfm_scope!r}")
+            raise ValueError(f"hfm_scope must be patch or image, got {self.hfm_scope!r}")
 
 
 @dataclass(frozen=True)
@@ -67,6 +66,8 @@ def score_image(
             f"model was trained at {model.patch_size}, config asks for {n}"
         )
     luma = to_luma(img).planes[0].astype(np.float64)
+    if img.is_float and not np.isfinite(luma).all():
+        raise ValueError("image has non-finite pixels")
     grid = tile(img, n)
     if config.hfm_scope == "image":
         whole = sobel_hfm(luma).values
@@ -78,26 +79,16 @@ def score_image(
     if model is not None:
         lfms = [pws_lfm(grid.extract(luma, k), config.pws) for k in range(len(grid))]
         probs = forward_batch(model, hfms, lfms)
-        labels = [
-            PatchLabel(
-                Label.BANDED if p > 0.5 else Label.NON_BANDED,
-                float(max(p, 1.0 - p)),
-            )
-            for p in probs
-        ]
+        banded, confidence = probs > 0.5, np.maximum(probs, 1.0 - probs)
     else:
-        labels = []
-        for k in range(len(grid)):
-            mean_grad = float(hfms[k].values.mean())
-            banded = (
-                mean_grad > config.baseline.grad_floor
-                and stats.sf[k] < config.baseline.sf_ceiling
-            )
-            labels.append(
-                PatchLabel(Label.BANDED if banded else Label.NON_BANDED, 1.0)
-            )
+        mean_grad = np.array([h.values.mean() for h in hfms])
+        banded, confidence = config.baseline.banded(mean_grad, stats.sf), np.ones(len(grid))
+    labels = [
+        PatchLabel(Label.BANDED if b else Label.NON_BANDED, float(c))
+        for b, c in zip(banded, confidence)
+    ]
 
     weights = mask_weights(stats, n, config.gamma)
     bm = banding_map(grid, labels, weights, hfms)
-    qs = pool_score(bm, config.p_percent, config.pooling_mode)
+    qs = pool_score(bm, config.p_percent)
     return ImageResult(qs, bm)

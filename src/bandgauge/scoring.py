@@ -100,24 +100,15 @@ def _top_fraction_mean(nonzero: np.ndarray, p_percent: float) -> float:
     return float(np.mean(selected))
 
 
-def pool_score(bm: BandingMap, p_percent: float = 80.0, mode: str = "per_patch") -> QualityScore:
+def pool_score(bm: BandingMap, p_percent: float = 80.0) -> QualityScore:
     """Worst-p% pooled severity.
 
-    mode "per_patch" (default): each patch contributes the mean of its own
-    top-p% non-zero values; the score averages those over all patches.
-    mode "global": one top-p% set over the whole map's non-zero values,
-    its mean divided by the patch count (the literal single-set reading);
-    kept for comparison.
+    Each patch contributes the mean of its own top-p% non-zero values (0 for
+    a patch with none); the score averages those over all patches.
     """
     if not 0.0 < p_percent <= 100.0:
         raise ValueError("p_percent must lie in (0, 100]")
     n = bm.patch_size
-    if mode == "global":
-        nz = bm.values[bm.values > 0.0]
-        q = _top_fraction_mean(nz, p_percent) / max(bm.total_patches, 1)
-        return QualityScore(q, p_percent, ())
-    if mode != "per_patch":
-        raise ValueError(f"unknown pooling mode {mode!r}")
     scores = []
     for meta in bm.patch_meta:
         x, y = meta.origin
@@ -130,11 +121,14 @@ def pool_score(bm: BandingMap, p_percent: float = 80.0, mode: str = "per_patch")
 
 def map_to_image(bm: BandingMap) -> PlanarImage:
     """Min-max normalized 8-bit rendering for visual inspection."""
-    v = bm.values
-    vmax = float(v.max())
-    if vmax <= 0.0:
-        out = np.zeros(v.shape, dtype=np.uint8)
+    return to_8bit(bm.values)
+
+
+def to_8bit(values: np.ndarray) -> PlanarImage:
+    """Min-max normalize a field to 0..255; a constant field renders as zeros."""
+    vmin, vmax = float(values.min()), float(values.max())
+    if vmax > vmin:
+        out = np.rint((values - vmin) / (vmax - vmin) * 255.0).astype(np.uint8)
     else:
-        vmin = float(v.min())
-        out = np.rint((v - vmin) / (vmax - vmin) * 255.0).astype(np.uint8)
+        out = np.zeros(values.shape, dtype=np.uint8)
     return PlanarImage.from_array(out)

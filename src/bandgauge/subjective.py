@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import check
 from .statdist import student_t_upper_critical
 
 
@@ -51,8 +52,9 @@ class OutlierConfig:
     max_removals: int | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.sig_alpha < 1.0:
-            raise ValueError("significance level must lie in (0, 1)")
+        check("sig_alpha", self.sig_alpha, gt=0, lt=1)
+        check("sd_multiplier", self.sd_multiplier, optional=True, ge=0)
+        check("max_removals", self.max_removals, int, optional=True, ge=0)
 
 
 def _mean_sd(scores) -> tuple:

@@ -2,14 +2,19 @@
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bandgauge.cli import main
+from bandgauge.classifier import BaselineConfig, TrainConfig, init_params
+from bandgauge.cli import _SETTINGS, _build_parser, _load_config_file, _settings, main
 from bandgauge.datagen import SynthSpec, gen_base, make_sample, quantize_bitdepth
 from bandgauge.imgcore import PlanarImage, load_image, save_image
 from bandgauge.pipeline import RunConfig, score_image
+from bandgauge.subjective import OutlierConfig
 from conftest import gray_image
 
 
@@ -66,6 +71,82 @@ def test_image_scope_sees_tile_boundary_contours():
     assert q_image > 0.0
     with pytest.raises(ValueError):
         RunConfig(hfm_scope="everywhere")
+
+
+@pytest.mark.parametrize(
+    "cls, bad, field",
+    [
+        (RunConfig, {"gamma": -1}, "gamma"),
+        (RunConfig, {"gamma": float("nan")}, "gamma"),
+        (RunConfig, {"p_percent": 150}, "p_percent"),
+        (RunConfig, {"p_percent": 0}, "p_percent"),
+        (RunConfig, {"patch_size": 7}, "patch_size"),
+        (RunConfig, {"patch_size": 64.0}, "patch_size"),
+        (RunConfig, {"hfm_scope": "x"}, "hfm_scope"),
+        (RunConfig, {"threads": 0}, "threads"),
+        (BaselineConfig, {"grad_floor": float("nan")}, "grad_floor"),
+        (TrainConfig, {"epochs": "3"}, "epochs"),
+        (TrainConfig, {"learning_rate": 0.0}, "learning_rate"),
+        (OutlierConfig, {"sd_multiplier": "2"}, "sd_multiplier"),
+        (OutlierConfig, {"sig_alpha": 1.0}, "sig_alpha"),
+    ],
+    ids=lambda v: v.__name__ if isinstance(v, type) else None,
+)
+def test_config_rejects_bad_field(cls, bad, field):
+    with pytest.raises(ValueError, match=field):
+        cls(**bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("with_model", [False, True], ids=["baseline", "model"])
+def test_non_finite_pixel_rejected(bad, with_model):
+    arr = np.full((64, 64), 0.5)
+    arr[3, 5] = bad
+    model = init_params(32, (2, 3, 4), 8, seed=0) if with_model else None
+    # An infinite sample is already refused by PlanarImage itself.
+    with pytest.raises(ValueError, match="non-finite|must lie in"):
+        score_image(PlanarImage.from_array(arr), RunConfig(patch_size=32), model)
+
+
+@st.composite
+def tiled_images(draw):
+    """(image, same image with its right/bottom remainder rewritten, N)."""
+    n = draw(st.sampled_from([8, 12, 16]))
+    cols, rows = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    w = cols * n + draw(st.integers(0, n - 1))
+    h = rows * n + draw(st.integers(0, n - 1))
+    levels = draw(st.integers(2, 64))
+    noise = draw(st.sampled_from([0, 4, 64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ramp = np.add.outer(np.arange(h) * rng.random(), np.arange(w) * rng.random())
+    arr = np.floor(ramp / max(ramp.max(), 1e-9) * (levels - 1) + 0.5) * (255 // (levels - 1))
+    noisy = np.kron(rng.random((rows + 1, cols + 1)) < 0.5, np.ones((n, n)))[:h, :w]
+    arr = np.clip(arr + noisy * rng.integers(-noise, noise + 1, (h, w)), 0, 255)
+    other = arr.copy()
+    other[rows * n :, :] = rng.integers(0, 256, other[rows * n :, :].shape)
+    other[:, cols * n :] = rng.integers(0, 256, other[:, cols * n :].shape)
+    if draw(st.booleans()):
+        return PlanarImage.from_array(arr / 255.0), PlanarImage.from_array(other / 255.0), n
+    return (
+        PlanarImage.from_array(arr.astype(np.uint8)),
+        PlanarImage.from_array(other.astype(np.uint8)),
+        n,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(tiled_images())
+def test_baseline_score_properties(case):
+    img, rewritten, n = case
+    cfg = RunConfig(patch_size=n)
+    res = score_image(img, cfg)
+    q = res.score.q
+    assert math.isfinite(q) and q >= 0.0
+    assert (q == 0.0) == (res.banded_patch_count == 0)
+    other = score_image(rewritten, cfg)
+    assert other.score.q == q
+    assert [m.label for m in other.bmap.patch_meta] == [m.label for m in res.bmap.patch_meta]
+    assert np.array_equal(other.bmap.values, res.bmap.values)
 
 
 # --- score command ----------------------------------------------------------------
@@ -139,14 +220,84 @@ def test_config_file_precedence(tmp_path):
     assert main(["--config", str(cfg), "score", str(p), "--out", str(out)]) == 1
 
 
-@pytest.mark.parametrize(
-    "pws", [{"reg_alpha": float("nan")}, {"tol": float("inf")}, {"max_iters": 2.5}]
+UNKNOWN_KEYS = [
+    ({"gama": 9}, "gama"),
+    ({"pws": {"max_iter": 3}}, "pws.max_iter"),
+    ({"baseline": {"grad_flor": 9}}, "baseline.grad_flor"),
+    ({"pooling": "global"}, "pooling"),
+]
+BAD_CONFIGS = (
+    [
+        ("score", {"pws": {"reg_alpha": float("nan")}}, "reg_alpha", "pws0"),
+        ("score", {"pws": {"tol": float("inf")}}, "tol", "pws1"),
+        ("score", {"pws": {"max_iters": 2.5}}, "max_iters", "pws2"),
+        ("score", {"gamma": -1}, "gamma", "score-gamma"),
+        ("score", {"p_percent": 150}, "p_percent", "score-p_percent"),
+        ("detect", {"patch_size": 7}, "patch_size", "detect-patch_size"),
+        ("detect", {"pws": 3}, "pws", "detect-pws-not-object"),
+        ("gen", {"image_size": "64"}, "image_size", "gen-image_size"),
+        ("train", {"epochs": "3"}, "epochs", "train-epochs"),
+        ("mos", {"sd_multiplier": "2"}, "sd_multiplier", "mos-sd_multiplier"),
+    ]
+    + [
+        (cmd, cfg, key, f"{cmd}-unknown-{key}")
+        for cmd in ("score", "detect", "gen", "train", "mos")
+        for cfg, key in UNKNOWN_KEYS
+    ]
 )
-def test_bad_solver_config_exits_1(tmp_path, pws):
-    p = write_ramp(tmp_path, 4)
+
+
+@pytest.mark.parametrize(
+    "command, config, key",
+    [case[:3] for case in BAD_CONFIGS],
+    ids=[case[3] for case in BAD_CONFIGS],
+)
+def test_bad_solver_config_exits_1(tmp_path, capsys, command, config, key):
+    # Every input path is absent: the config must fail before any is read.
+    absent = str(tmp_path / "absent")
+    argv = {
+        "score": ["score", absent, "--out", str(tmp_path / "s.csv")],
+        "detect": ["detect", absent, "--out", str(tmp_path / "m.png")],
+        "gen": ["gen", "--n", "10", "--out", absent],
+        "train": ["train", "--manifest", absent, "--out", str(tmp_path / "w.bgw")],
+        "mos": ["mos", "--ratings", absent, "--out", str(tmp_path / "mos.csv")],
+    }[command]
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"pws": pws}))
-    assert main(["--config", str(cfg), "score", str(p), "--out", str(tmp_path / "s.csv")]) == 1
+    cfg.write_text(json.dumps(config))
+    assert main(["--config", str(cfg)] + argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and key in err
+    assert "Traceback" not in err and absent not in err
+    assert not (tmp_path / "absent").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, default",
+    [
+        (["score", "x.png"], RunConfig()),
+        (["detect", "x.png", "--out", "m.png"], RunConfig()),
+        (["gen", "--n", "10", "--out", "d"], {}),  # make_dataset's own defaults
+        (["train", "--manifest", "m.csv", "--out", "w.bgw"], TrainConfig()),
+        (["mos", "--ratings", "r.csv", "--out", "o.csv"], OutlierConfig()),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else None,
+)
+def test_config_defaults_come_from_the_dataclasses(tmp_path, argv, default):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{}")
+    args = _build_parser().parse_args(["--config", str(cfg)] + argv)
+    target, _ = _SETTINGS[args.command]
+    assert target(**_settings(args, _load_config_file(args.config))) == default
+
+
+def test_one_config_file_serves_score_and_train(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"patch_size": 32, "gamma": 2.0, "epochs": 3, "sig_alpha": 0.1}))
+    filecfg = _load_config_file(str(cfg))
+    score = _build_parser().parse_args(["score", "x.png", "--gamma", "1.0"])
+    train = _build_parser().parse_args(["train", "--manifest", "m", "--out", "w"])
+    assert RunConfig(**_settings(score, filecfg)) == RunConfig(patch_size=32, gamma=1.0)
+    assert TrainConfig(**_settings(train, filecfg)) == TrainConfig(patch_size=32, epochs=3)
 
 
 # --- detect command ----------------------------------------------------------------

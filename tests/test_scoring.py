@@ -7,7 +7,7 @@ import pytest
 
 from bandgauge.freq import HighFreqMap
 from bandgauge.imgcore import Label, PatchLabel, PlanarImage, tile
-from bandgauge.scoring import banding_map, map_to_image, pool_score
+from bandgauge.scoring import BandingMap, banding_map, map_to_image, pool_score
 from bandgauge.sfmask import MaskWeights
 
 
@@ -134,13 +134,9 @@ def test_flipping_to_banded_never_decreases(rng):
         assert q >= base
 
 
-def test_global_mode(rng):
+def test_pool_score_rejects_p_percent_out_of_range(rng):
     grid, labels, weights, hfms = build_map(rng)
     bm = banding_map(grid, labels, weights, hfms)
-    q = pool_score(bm, 80.0, mode="global").q
-    assert q >= 0.0
-    with pytest.raises(ValueError):
-        pool_score(bm, 80.0, mode="nope")
     with pytest.raises(ValueError):
         pool_score(bm, 0.0)
 
@@ -154,3 +150,9 @@ def test_map_to_image(rng):
         assert int(img.planes[0].max()) == 255
     zero = banding_map(grid, [CLEAN] * len(grid), weights, hfms)
     assert (map_to_image(zero).planes[0] == 0).all()
+
+
+@pytest.mark.filterwarnings("error")
+def test_map_to_image_constant_map_renders_zeros():
+    img = map_to_image(BandingMap(np.full((4, 4), 2.0), (), 4))
+    assert (img.planes[0] == 0).all()
