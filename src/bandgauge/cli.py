@@ -128,7 +128,10 @@ def _load_config_file(path):
     if path is None:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: bad config JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     known = {name for _, names in _SETTINGS.values() for name in names}
@@ -178,7 +181,7 @@ def _config_and_model(args, filecfg):
 def _cmd_score(args, filecfg) -> int:
     config, model = _config_and_model(args, filecfg)
     lines = ["path,q,banded_patch_count,total_patches"]
-    failures = 0
+    exit_code = EXIT_OK
 
     def one(path):
         img = load_image(path)
@@ -189,9 +192,13 @@ def _cmd_score(args, filecfg) -> int:
         for path, fut in zip(args.images, futures):
             try:
                 res = fut.result()
-            except Exception as exc:  # noqa: BLE001 - per-image isolation
-                print(f"error: {path}: {exc}", file=sys.stderr)
-                failures += 1
+            except _NUMERIC_ERRORS as exc:
+                print(f"numerical failure: {path}: {exc}", file=sys.stderr)
+                exit_code = EXIT_NUMERIC
+                continue
+            except _INPUT_ERRORS as exc:
+                print(f"input error: {path}: {exc}", file=sys.stderr)
+                exit_code = max(exit_code, EXIT_INPUT)
                 continue
             lines.append(
                 f"{path},{res.score.q:.10g},{res.banded_patch_count},"
@@ -203,7 +210,7 @@ def _cmd_score(args, filecfg) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return EXIT_INPUT if failures else EXIT_OK
+    return exit_code
 
 
 def _cmd_detect(args, filecfg) -> int:
@@ -363,9 +370,6 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except _INPUT_ERRORS as exc:
         print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except json.JSONDecodeError as exc:
-        print(f"input error: bad config JSON: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -9,9 +9,10 @@ logistic curve
 
     f(x) = b1 * (1/2 - 1 / (1 + exp(b2 * (x - b3)))) + b4 * x + b5
 
-fitted by derivative-free simplex search with seeded restarts.  The family
-nests every affine map, so the exact linear least-squares solution is always
-kept as a candidate.
+fitted by variable projection: b1, b4 and b5 enter linearly and are solved
+exactly, so only the slope b2 and centre b3 are searched, from a fixed grid
+and without random starts.  Every linear solve has x and 1 in its basis, so
+the fit is never worse than the affine least-squares fit.
 """
 
 from __future__ import annotations
@@ -94,7 +95,6 @@ class Logistic5Params:
     b4: float
     b5: float
     rmse: float
-    converged: bool = True
 
     def as_array(self):
         return np.array([self.b1, self.b2, self.b3, self.b4, self.b5])
@@ -105,13 +105,6 @@ def logistic5(beta, x):
     b1, b2, b3, b4, b5 = np.asarray(beta, dtype=np.float64)
     z = np.clip(b2 * (np.asarray(x, dtype=np.float64) - b3), -500.0, 500.0)
     return b1 * (0.5 - 1.0 / (1.0 + np.exp(z))) + b4 * np.asarray(x) + b5
-
-
-def _linear_lsq(x, y):
-    """Exact affine fit expressed inside the 5-parameter family (b1 = 0)."""
-    a = np.stack([x, np.ones_like(x)], axis=1)
-    coef, *_ = np.linalg.lstsq(a, y, rcond=None)
-    return np.array([0.0, 1.0, float(np.mean(x)), float(coef[0]), float(coef[1])])
 
 
 def _nelder_mead(fn, x0, max_iters=4000, ftol=1e-13):
@@ -156,48 +149,47 @@ def _nelder_mead(fn, x0, max_iters=4000, ftol=1e-13):
     return simplex[i_best], fvals[i_best]
 
 
-def fit_logistic5(predicted, subjective, restarts: int = 3, seed: int = 0) -> Logistic5Params:
-    """Least-squares fit of the alignment curve with seeded multi-start."""
+def fit_logistic5(predicted, subjective) -> Logistic5Params:
+    """Least-squares fit of the alignment curve by variable projection.
+
+    For a slope b2 and centre b3, one least-squares solve on the basis
+    [sigmoid, x, 1] gives the best (b1, b4, b5) and the residual.  Only
+    (b2, b3) are searched: from the best point of a fixed grid (slopes
+    2^-3..2^3 per standard deviation of x, centres at the deciles of x), by
+    simplex descent and one polish pass.  x and y are standardised first, so
+    neither the search nor its stopping rule depends on their units.  The
+    basis holds x and 1, so the fit is never worse than the affine
+    least-squares fit.
+    """
     x, y = _paired(predicted, subjective, minimum=6)
+    mu, sd = float(x.mean()), float(x.std()) or 1.0
+    my, sy = float(y.mean()), float(y.std()) or 1.0
+    z, w = (x - mu) / sd, (y - my) / sy
 
-    def sse(beta):
-        r = logistic5(beta, x) - y
-        return float((r * r).sum())
+    def solve(p):
+        """Coefficients and SSE of w on [sigmoid, z, 1], p = (slope, centre) in z."""
+        s = logistic5((1.0, p[0], p[1], 0.0, 0.0), z)
+        basis = np.stack([s, z, np.ones_like(z)], axis=1)
+        if not np.isfinite(basis).all():
+            return None, math.inf
+        coef, *_ = np.linalg.lstsq(basis, w, rcond=None)
+        r = basis @ coef - w
+        return coef, float(r @ r)
 
-    x_std = float(x.std())
-    init = np.array(
-        [
-            float(y.max() - y.min()),
-            1.0 / x_std if x_std > 0 else 1.0,
-            float(x.mean()),
-            0.0,
-            float(y.mean()),
-        ]
+    def sse(p):
+        return solve(p)[1]
+
+    centres = np.percentile(z, np.arange(10, 100, 10))
+    start = min(
+        (np.array([2.0**k, c]) for k in range(-3, 4) for c in centres), key=sse
     )
-    linear = _linear_lsq(x, y)
-    linear_sse = sse(linear)
-    rng = np.random.default_rng(seed)
-    starts = [init, linear] + [
-        init * rng.uniform(0.5, 1.5, size=5) + rng.normal(0.0, 0.1, size=5)
-        for _ in range(max(restarts - 2, 0))
-    ]
-    results = []
-    for start in starts:
-        best, f_best = _nelder_mead(sse, start)
-        best, f_best = min(
-            [(best, f_best), _nelder_mead(sse, best)], key=lambda c: c[1]
-        )  # polish pass
-        if np.isfinite(f_best):
-            results.append((best, f_best))
-    if results:
-        converged = True
-        # The exact affine solution stays in the pool: the family nests it.
-        beta, f_min = min(results + [(linear, linear_sse)], key=lambda c: c[1])
-    else:
-        converged = False
-        beta, f_min = linear, linear_sse
-    rmse = math.sqrt(f_min / x.size)
-    return Logistic5Params(*(float(b) for b in beta), rmse=rmse, converged=converged)
+    p, _ = _nelder_mead(sse, start)
+    p, _ = _nelder_mead(sse, p)  # polish pass
+    c_s, c_z, c_1 = solve(p)[0] * sy
+    beta = np.array([c_s, p[0] / sd, mu + p[1] * sd, c_z / sd, my + c_1 - c_z * mu / sd])
+    r = logistic5(beta, x) - y
+    rmse = math.sqrt(float(r @ r) / x.size)
+    return Logistic5Params(*(float(b) for b in beta), rmse=rmse)
 
 
 def plcc_rmse(predicted, subjective) -> tuple:

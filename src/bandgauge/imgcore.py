@@ -86,7 +86,7 @@ class PlanarImage:
                 pass
             elif p.dtype in (np.float32, np.float64):
                 p = p.astype(np.float32, copy=False)
-                if p.size and (float(p.min()) < 0.0 or float(p.max()) > 1.0):
+                if p.size and not (float(p.min()) >= 0.0 and float(p.max()) <= 1.0):
                     raise ValueError("float samples must lie in [0, 1]")
             else:
                 raise ValueError(f"unsupported sample dtype {p.dtype}")

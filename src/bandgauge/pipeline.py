@@ -66,8 +66,6 @@ def score_image(
             f"model was trained at {model.patch_size}, config asks for {n}"
         )
     luma = to_luma(img).planes[0].astype(np.float64)
-    if img.is_float and not np.isfinite(luma).all():
-        raise ValueError("image has non-finite pixels")
     grid = tile(img, n)
     if config.hfm_scope == "image":
         whole = sobel_hfm(luma).values

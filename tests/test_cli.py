@@ -177,12 +177,38 @@ def test_score_depth_ordering_with_baseline(tmp_path):
 
 
 def test_score_deterministic_bytes(tmp_path):
-    p = write_ramp(tmp_path, 4)
-    out1 = tmp_path / "a.csv"
-    out2 = tmp_path / "b.csv"
-    assert main(["score", str(p), "--patch-size", "64", "--out", str(out1)]) == 0
-    assert main(["score", str(p), "--patch-size", "64", "--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
+    paths = [str(write_ramp(tmp_path, d)) for d in (3, 4, 6)]
+    outs = []
+    for threads in ("1", "2", "2"):
+        out = tmp_path / f"s{len(outs)}.csv"
+        argv = ["score", *paths, "--patch-size", "64", "--threads", threads]
+        assert main(argv + ["--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1] == outs[2]
+    assert len(outs[0].splitlines()) == 4
+
+
+def test_score_numeric_failure_exit_code(tmp_path, monkeypatch, capsys):
+    good, bad = write_ramp(tmp_path, 4), write_ramp(tmp_path, 4, size=128, name="bad.png")
+
+    def flaky(img, config, model=None):
+        if img.width == 128:
+            raise RuntimeError("solver blew up")
+        return score_image(img, config, model)
+
+    monkeypatch.setattr("bandgauge.cli.score_image", flaky)
+    out = tmp_path / "s.csv"
+    rc = main(["score", str(bad), str(good), "--patch-size", "64", "--out", str(out)])
+    assert rc == 2
+    assert [r["path"] for r in read_score_csv(out)] == [str(good)]
+    assert "numerical failure" in capsys.readouterr().err
+
+    def broken(img, config, model=None):
+        raise TypeError("a programming error is not an input error")
+
+    monkeypatch.setattr("bandgauge.cli.score_image", broken)
+    with pytest.raises(TypeError):
+        main(["score", str(good), "--patch-size", "64", "--out", str(out)])
 
 
 def test_score_missing_file_exit_code(tmp_path, capsys):
@@ -201,7 +227,7 @@ def test_score_threads_env(tmp_path, monkeypatch):
     assert main(["score", str(p), "--patch-size", "64", "--out", str(out)]) == 1
 
 
-def test_config_file_precedence(tmp_path):
+def test_config_file_precedence(tmp_path, capsys):
     p = write_ramp(tmp_path, 4)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"patch_size": 32}))
@@ -218,6 +244,7 @@ def test_config_file_precedence(tmp_path):
 
     cfg.write_text("not json {")
     assert main(["--config", str(cfg), "score", str(p), "--out", str(out)]) == 1
+    assert f"{cfg}: bad config JSON" in capsys.readouterr().err
 
 
 UNKNOWN_KEYS = [

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bandgauge.evalharness import (
     diversity_metrics,
@@ -175,18 +177,40 @@ def test_fit_exact_affine_case():
     x = np.linspace(0.0, 5.0, 25)
     fit = fit_logistic5(x, x)
     assert fit.rmse <= 1e-6
-    assert fit.converged
 
 
-def test_fit_never_worse_than_linear(rng):
-    for _ in range(10):
-        x = rng.random(20) * 10.0
-        y = 3.0 * x + rng.normal(0, 1.0, size=20)
-        fit = fit_logistic5(x, y)
-        a = np.stack([x, np.ones_like(x)], axis=1)
-        coef, *_ = np.linalg.lstsq(a, y, rcond=None)
-        lin_rmse = float(np.sqrt(np.mean((a @ coef - y) ** 2)))
-        assert fit.rmse <= lin_rmse + 1e-9
+@st.composite
+def paired_scores(draw):
+    n = draw(st.integers(6, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    r = np.random.default_rng(seed)
+    x = r.random(n) * draw(st.sampled_from([1.0, 10.0, 100.0]))
+    slope = draw(st.sampled_from([-3.0, 0.0, 3.0]))
+    y = slope * x + r.normal(0.0, draw(st.sampled_from([0.0, 0.1, 1.0])), size=n)
+    return x, y
+
+
+_EXAMPLE = np.random.default_rng(23)
+_X6 = _EXAMPLE.random(6) * 10.0
+_X_TIES = _EXAMPLE.integers(0, 15, size=30).astype(float)
+_X_BIG = 1e6 + _EXAMPLE.normal(0.0, 5.0, size=25)
+
+
+@settings(max_examples=40, deadline=None)
+@given(paired_scores())
+@example((_X6, 3.0 * _X6 + _EXAMPLE.normal(0.0, 1.0, size=6)))  # n = 6
+@example((np.repeat([1.0, 4.0], 5), _EXAMPLE.normal(0.0, 1.0, size=10)))  # two values
+@example((_X_TIES, _EXAMPLE.integers(0, 15, size=30).astype(float)))  # ties
+@example((np.arange(8.0), np.full(8, 2.5)))  # constant y
+@example((_X_BIG, 0.5 * (_X_BIG - 1e6) + _EXAMPLE.normal(0.0, 1.0, size=25)))  # |x| ~ 1e6
+def test_fit_never_worse_than_linear(xy):
+    x, y = xy
+    fit = fit_logistic5(x, y)
+    a = np.stack([x, np.ones_like(x)], axis=1)
+    coef, *_ = np.linalg.lstsq(a, y, rcond=None)
+    lin_rmse = float(np.sqrt(np.mean((a @ coef - y) ** 2)))
+    assert fit.rmse <= lin_rmse + 1e-9
+    assert fit_logistic5(x, y).as_array().tobytes() == fit.as_array().tobytes()
 
 
 def test_fit_order_invariant(rng):

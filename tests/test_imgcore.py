@@ -37,6 +37,10 @@ def test_plane_shape_enforced():
 def test_float_range_enforced():
     with pytest.raises(ValueError):
         PlanarImage.from_array(np.full((4, 4), 1.5, dtype=np.float32))
+    arr = np.full((4, 4), 0.5)
+    arr[1, 2] = np.nan
+    with pytest.raises(ValueError, match="must lie in"):
+        PlanarImage.from_array(arr)
 
 
 def test_zero_dimension_rejected():
