@@ -213,43 +213,71 @@ def init_params(
 # Forward / backward
 
 
+def _taps(n):
+    """Per kernel offset k of a 3x3 / stride-2 / pad-1 window along an axis of
+    length n: the output positions [lo, hi) whose input index 2*i + k - 1
+    lies inside the axis, and the slice of input indices they read.  The
+    other output positions read the zero border."""
+    out = []
+    for k in range(3):
+        lo, hi = (1 if k == 0 else 0), (n // 2 if k == 2 else (n + 1) // 2)
+        start = 2 * lo + k - 1
+        out.append((lo, hi, slice(start, start + 2 * (hi - lo) - 1, 2)))
+    return out
+
+
 def _conv_forward(x, w, b):
-    """3x3 convolution, stride 2, pad 1. x: (B, C, H, W) -> (B, F, Ho, Wo)."""
+    """3x3 convolution, stride 2, pad 1. x: (B, C, H, W) -> (B, F, Ho, Wo).
+
+    Lowered to one matmul per patch over columns (B, C*9, Ho*Wo), which
+    W.reshape(F, C*9) @ cols turns into (B, F, Ho*Wo) with no re-layout.
+    The zero padding is written straight into the columns.
+    """
     bsz, c, h, wi = x.shape
     f = w.shape[0]
-    ho = (h + 2 - 3) // 2 + 1
-    wo = (wi + 2 - 3) // 2 + 1
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    cols6 = np.empty((bsz, c, 3, 3, ho, wo), dtype=x.dtype)
-    for ky in range(3):
-        for kx in range(3):
-            cols6[:, :, ky, kx] = xp[
-                :, :, ky : ky + 2 * ho - 1 : 2, kx : kx + 2 * wo - 1 : 2
-            ]
-    cols = cols6.transpose(0, 4, 5, 1, 2, 3).reshape(bsz, ho * wo, c * 9)
-    wmat = w.reshape(f, c * 9).T
-    out = cols @ wmat + b
-    return out.transpose(0, 2, 1).reshape(bsz, f, ho, wo), (cols, x.shape)
+    ho, wo = (h + 1) // 2, (wi + 1) // 2
+    cols = np.empty((bsz, c, 3, 3, ho, wo), dtype=x.dtype)
+    for ky, (ylo, yhi, ys) in enumerate(_taps(h)):
+        for kx, (xlo, xhi, xs) in enumerate(_taps(wi)):
+            tap = cols[:, :, ky, kx]
+            tap[:, :, :ylo] = 0
+            tap[:, :, yhi:] = 0
+            tap[:, :, ylo:yhi, :xlo] = 0
+            tap[:, :, ylo:yhi, xhi:] = 0
+            tap[:, :, ylo:yhi, xlo:xhi] = x[:, :, ys, xs]
+    cols = cols.reshape(bsz, c * 9, ho * wo)
+    out = w.reshape(f, c * 9) @ cols
+    out += b[:, None]
+    return out.reshape(bsz, f, ho, wo), (cols, x.shape)
+
+
+def _conv_param_grads(dout, cache):
+    """Weight and bias gradients of _conv_forward."""
+    cols, (_, c, _, _) = cache
+    bsz, f = dout.shape[:2]
+    dmat = dout.reshape(bsz, f, -1)
+    dw = (dmat @ cols.mT).sum(axis=0)
+    return dw.reshape(f, c, 3, 3), dmat.sum(axis=(0, 2))
+
+
+def _conv_input_grad(dout, w, cache):
+    """Input gradient of _conv_forward: W^T @ dout scattered back through the
+    9 taps into an unpadded dx."""
+    _, x_shape = cache
+    bsz, c, h, wi = x_shape
+    f, ho, wo = dout.shape[1:]
+    dcols = w.reshape(f, c * 9).T @ dout.reshape(bsz, f, ho * wo)
+    d6 = dcols.reshape(bsz, c, 3, 3, ho, wo)
+    dx = np.zeros(x_shape, dtype=dout.dtype)
+    for ky, (ylo, yhi, ys) in enumerate(_taps(h)):
+        for kx, (xlo, xhi, xs) in enumerate(_taps(wi)):
+            dx[:, :, ys, xs] += d6[:, :, ky, kx, ylo:yhi, xlo:xhi]
+    return dx
 
 
 def _conv_backward(dout, w, cache):
-    cols, x_shape = cache
-    bsz, c, h, wi = x_shape
-    f = w.shape[0]
-    ho, wo = dout.shape[2], dout.shape[3]
-    dmat = dout.reshape(bsz, f, ho * wo).transpose(0, 2, 1)
-    db = dmat.sum(axis=(0, 1))
-    dwmat = np.einsum("bpc,bpf->cf", cols, dmat)
-    dw = dwmat.T.reshape(f, c, 3, 3)
-    dcols = dmat @ w.reshape(f, c * 9)
-    d6 = dcols.reshape(bsz, ho, wo, c, 3, 3).transpose(0, 3, 4, 5, 1, 2)
-    dxp = np.zeros((bsz, c, h + 2, wi + 2), dtype=dout.dtype)
-    for ky in range(3):
-        for kx in range(3):
-            dxp[:, :, ky : ky + 2 * ho - 1 : 2, kx : kx + 2 * wo - 1 : 2] += d6[
-                :, :, ky, kx
-            ]
-    return dxp[:, :, 1:-1, 1:-1], dw, db
+    """(dx, dw, db) of _conv_forward for the upstream gradient dout."""
+    return (_conv_input_grad(dout, w, cache), *_conv_param_grads(dout, cache))
 
 
 def _branch_forward(bp: BranchParams, x):
@@ -285,7 +313,9 @@ def _branch_backward(bp: BranchParams, caches, dfeat):
             area0 = a.shape[2] * a.shape[3]
             da = da + (d_early / area0)[:, :, None, None]
         dz = da * (z > 0)
-        da, grads_w[i], grads_b[i] = _conv_backward(dz, bp.conv_w[i], cache)
+        grads_w[i], grads_b[i] = _conv_param_grads(dz, cache)
+        if i > 0:  # the network input needs no gradient
+            da = _conv_input_grad(dz, bp.conv_w[i], cache)
     return grads_w, grads_b
 
 
@@ -310,12 +340,29 @@ def _sigmoid(z):
     return out
 
 
+# Input pixels per forward block (2 patches at N = 235, 32 at N = 64).
+# forward_batch streams the patches through the network in blocks of about
+# this size, so only one block's float32 intermediates are alive at a time.
+# Small blocks also keep the allocator reusing memory instead of mapping
+# fresh pages for every layer: on 1080p frames at N = 235, blocks of 1-2
+# patches scored faster than blocks of 8 or more.
+_BLOCK_PIXELS = 1 << 17
+
+
 def forward_batch(params: DualNetParams, h_batch, l_batch) -> np.ndarray:
     """Probabilities for a batch of (hfm, lfm) map pairs."""
+    if len(h_batch) != len(l_batch):
+        raise ValueError(
+            f"{len(h_batch)} high-frequency maps but {len(l_batch)} low-frequency maps"
+        )
     h_batch = _stack_maps(h_batch, params)
     l_batch = _stack_maps(l_batch, params)
-    logit, _ = _net_forward(params, h_batch, l_batch)
-    return _sigmoid(logit)
+    step = max(1, _BLOCK_PIXELS // params.patch_size**2)
+    logits = [
+        _net_forward(params, h_batch[s : s + step], l_batch[s : s + step])[0]
+        for s in range(0, len(h_batch), step)
+    ]
+    return _sigmoid(np.concatenate(logits))
 
 
 def forward(params: DualNetParams, hfm, lfm) -> float:
@@ -324,18 +371,16 @@ def forward(params: DualNetParams, hfm, lfm) -> float:
 
 
 def _stack_maps(maps, params: DualNetParams):
-    arrs = []
-    for m in maps:
+    n = params.patch_size
+    out = np.empty((len(maps), n, n), dtype=params.head_w1.dtype)
+    for i, m in enumerate(maps):
         v = m.values if isinstance(m, (HighFreqMap, LowFreqMap)) else np.asarray(m)
-        if v.shape != (params.patch_size, params.patch_size):
-            raise ValueError(
-                f"map shape {v.shape} does not match patch size {params.patch_size}"
-            )
-        if not np.isfinite(v).all():
-            raise ValueError("non-finite values in network input")
-        arrs.append(v)
-    dtype = params.head_w1.dtype
-    return np.stack(arrs).astype(dtype)
+        if v.shape != (n, n):
+            raise ValueError(f"map shape {v.shape} does not match patch size {n}")
+        out[i] = v
+    if not np.isfinite(out).all():
+        raise ValueError("non-finite values in network input")
+    return out
 
 
 def loss_and_grads(params: DualNetParams, h_batch, l_batch, y):

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import csv
 import dataclasses
+import io
 import json
 import os
 import sys
@@ -180,7 +182,9 @@ def _config_and_model(args, filecfg):
 
 def _cmd_score(args, filecfg) -> int:
     config, model = _config_and_model(args, filecfg)
-    lines = ["path,q,banded_patch_count,total_patches"]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["path", "q", "banded_patch_count", "total_patches"])
     exit_code = EXIT_OK
 
     def one(path):
@@ -200,11 +204,10 @@ def _cmd_score(args, filecfg) -> int:
                 print(f"input error: {path}: {exc}", file=sys.stderr)
                 exit_code = max(exit_code, EXIT_INPUT)
                 continue
-            lines.append(
-                f"{path},{res.score.q:.10g},{res.banded_patch_count},"
-                f"{res.bmap.total_patches}"
+            writer.writerow(
+                [path, f"{res.score.q:.10g}", res.banded_patch_count, res.bmap.total_patches]
             )
-    text = "\n".join(lines) + "\n"
+    text = buf.getvalue()
     if args.out:
         with open(args.out, "w", encoding="ascii", newline="") as fh:
             fh.write(text)
@@ -256,12 +259,11 @@ def _cmd_train(args, filecfg) -> int:
 
 
 def _read_two_column_csv(path, value_names):
-    """CSV keyed by first column; value taken from the first matching header."""
-    import csv as _csv
-
+    """CSV keyed by first column; value taken from the first matching header.
+    An id may appear on one row only."""
     out = {}
     with open(path, "r", encoding="ascii", newline="") as fh:
-        reader = _csv.reader(fh)
+        reader = csv.reader(fh)
         header = next(reader, None)
         if not header or len(header) < 2:
             raise ValueError(f"{path}:1: need a header with at least two columns")
@@ -277,6 +279,8 @@ def _read_two_column_csv(path, value_names):
         for line_no, row in enumerate(reader, start=2):
             if len(row) <= idx:
                 raise ValueError(f"{path}:{line_no}: short row")
+            if row[0] in out:
+                raise ValueError(f"{path}:{line_no}: duplicate id {row[0]!r}")
             try:
                 out[row[0]] = float(row[idx])
             except ValueError as exc:

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bandgauge.classifier import (
+    _BLOCK_PIXELS,
     BaselineConfig,
     PatchSample,
     TrainConfig,
@@ -13,6 +16,8 @@ from bandgauge.classifier import (
     WeightChecksumError,
     WeightFormatError,
     WeightVersionError,
+    _conv_backward,
+    _conv_forward,
     _rebuild,
     baseline_predict,
     bce_loss,
@@ -84,12 +89,22 @@ def test_head_bias_dominates():
 
 
 def test_batch_grouping_invariance(rng):
-    params = tiny_params(seed=3)
-    h = rng.random((5, 8, 8))
-    l = rng.random((5, 8, 8))
+    # Two full forward blocks and a partial one.
+    params = tiny_params(patch=256, seed=3)
+    block = max(1, _BLOCK_PIXELS // 256**2)
+    n = 2 * block + 3
+    h = rng.random((n, 256, 256))
+    l = rng.random((n, 256, 256))
     batched = forward_batch(params, h, l)
-    singles = np.array([forward(params, h[i], l[i]) for i in range(5)])
+    singles = np.array([forward(params, h[i], l[i]) for i in range(n)])
+    assert batched.shape == (n,)
     assert np.abs(batched - singles).max() < 1e-6
+
+
+def test_batch_length_mismatch_rejected():
+    params = tiny_params()
+    with pytest.raises(ValueError, match="3 high-frequency maps but 2 low-frequency"):
+        forward_batch(params, np.zeros((3, 8, 8)), np.zeros((2, 8, 8)))
 
 
 def test_input_shape_validated():
@@ -122,6 +137,89 @@ def test_branches_are_independent(rng):
     swapped = params.tensors()
     swapped = swapped[n : 2 * n] + swapped[:n] + swapped[2 * n :]
     assert forward(_rebuild(params, swapped), h, l) != pytest.approx(base, abs=1e-12)
+
+
+# --- convolution kernel ------------------------------------------------------------
+
+
+def oracle_conv_forward(x, w, b):
+    """Reference 3x3 / stride-2 / pad-1 convolution: padded input, columns
+    laid out (B, Ho*Wo, C*9)."""
+    bsz, c, h, wi = x.shape
+    f = w.shape[0]
+    ho = (h + 2 - 3) // 2 + 1
+    wo = (wi + 2 - 3) // 2 + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    cols6 = np.empty((bsz, c, 3, 3, ho, wo), dtype=x.dtype)
+    for ky in range(3):
+        for kx in range(3):
+            cols6[:, :, ky, kx] = xp[
+                :, :, ky : ky + 2 * ho - 1 : 2, kx : kx + 2 * wo - 1 : 2
+            ]
+    cols = cols6.transpose(0, 4, 5, 1, 2, 3).reshape(bsz, ho * wo, c * 9)
+    wmat = w.reshape(f, c * 9).T
+    out = cols @ wmat + b
+    return out.transpose(0, 2, 1).reshape(bsz, f, ho, wo), (cols, x.shape)
+
+
+def oracle_conv_backward(dout, w, cache):
+    cols, x_shape = cache
+    bsz, c, h, wi = x_shape
+    f = w.shape[0]
+    ho, wo = dout.shape[2], dout.shape[3]
+    dmat = dout.reshape(bsz, f, ho * wo).transpose(0, 2, 1)
+    db = dmat.sum(axis=(0, 1))
+    dwmat = np.einsum("bpc,bpf->cf", cols, dmat)
+    dw = dwmat.T.reshape(f, c, 3, 3)
+    dcols = dmat @ w.reshape(f, c * 9)
+    d6 = dcols.reshape(bsz, ho, wo, c, 3, 3).transpose(0, 3, 4, 5, 1, 2)
+    dxp = np.zeros((bsz, c, h + 2, wi + 2), dtype=dout.dtype)
+    for ky in range(3):
+        for kx in range(3):
+            dxp[:, :, ky : ky + 2 * ho - 1 : 2, kx : kx + 2 * wo - 1 : 2] += d6[
+                :, :, ky, kx
+            ]
+    return dxp[:, :, 1:-1, 1:-1], dw, db
+
+
+@st.composite
+def _conv_cases(draw):
+    dims = tuple(draw(st.integers(1, 3)) for _ in range(3))  # B, C, F
+    side = st.integers(1, 19)
+    return dims, (draw(side), draw(side)), draw(st.sampled_from(["float32", "float64"]))
+
+
+@given(_conv_cases(), st.integers(0, 2**32 - 1))
+@example(((1, 1, 1), (1, 1), "float32"), 0)
+@example(((2, 1, 3), (2, 3), "float32"), 1)
+@example(((1, 2, 2), (3, 2), "float64"), 2)
+@example(((3, 3, 2), (19, 18), "float32"), 3)  # odd x even
+@example(((2, 3, 3), (18, 19), "float64"), 4)
+@settings(max_examples=150, deadline=None)
+def test_conv_matches_oracle(case, seed):
+    # float32 draws small integers, so every sum is exact whatever its order
+    # and the kernel must reproduce the oracle bit for bit; float64 draws
+    # reals and allows for summation order.
+    (bsz, c, f), (h, w), dtype = case
+    r = np.random.default_rng(seed)
+
+    def draw(shape):
+        if dtype == "float32":
+            return r.integers(-4, 5, shape).astype(dtype)
+        return r.standard_normal(shape)
+
+    x, wt, b = draw((bsz, c, h, w)), draw((f, c, 3, 3)), draw(f)
+    want, want_cache = oracle_conv_forward(x, wt, b)
+    got, cache = _conv_forward(x, wt, b)
+    dout = draw(want.shape)
+    pairs = [(got, want)]
+    pairs += zip(_conv_backward(dout, wt, cache), oracle_conv_backward(dout, wt, want_cache))
+    for g, e in pairs:
+        assert g.shape == e.shape and g.dtype == np.dtype(dtype)
+        if dtype == "float32":
+            assert np.array_equal(g, e)
+        else:
+            assert np.abs(g - e).max() <= 1e-12 * max(np.abs(e).max(), 1e-300)
 
 
 # --- gradients -------------------------------------------------------------------

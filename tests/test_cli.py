@@ -188,6 +188,16 @@ def test_score_deterministic_bytes(tmp_path):
     assert len(outs[0].splitlines()) == 4
 
 
+def test_score_csv_quotes_a_path_with_a_comma(tmp_path):
+    src = write_ramp(tmp_path, 4, name="a,b.png")
+    out = tmp_path / "s.csv"
+    assert main(["score", str(src), "--patch-size", "64", "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        header, row = list(csv.reader(fh))
+    assert len(header) == len(row) == 4
+    assert row[0] == str(src)
+
+
 def test_score_numeric_failure_exit_code(tmp_path, monkeypatch, capsys):
     good, bad = write_ramp(tmp_path, 4), write_ramp(tmp_path, 4, size=128, name="bad.png")
 
@@ -505,3 +515,18 @@ def test_eval_requires_target(tmp_path):
     pred = tmp_path / "pred.csv"
     pred.write_text("image_id,score\na,1\nb,2\nc,3\nd,4\ne,5\nf,6\n")
     assert main(["eval", "--scores", str(pred)]) == 1
+
+
+@pytest.mark.parametrize("which", ["scores", "mos", "labels"])
+def test_eval_duplicate_id_exits_1(tmp_path, capsys, which):
+    files = {}
+    for name, column in (("scores", "score"), ("mos", "mos"), ("labels", "label")):
+        rows = [f"img{i},{i % 2}" for i in range(8)]
+        if name == which:
+            rows.insert(2, "img1,1")
+        files[name] = tmp_path / f"{name}.csv"
+        files[name].write_text(f"image_id,{column}\n" + "\n".join(rows) + "\n")
+    target = "labels" if which == "labels" else "mos"
+    argv = ["eval", "--scores", str(files["scores"]), f"--{target}", str(files[target])]
+    assert main(argv) == 1
+    assert f"{files[which]}:4: duplicate id 'img1'" in capsys.readouterr().err
