@@ -209,7 +209,7 @@ def _cmd_score(args, filecfg) -> int:
             )
     text = buf.getvalue()
     if args.out:
-        with open(args.out, "w", encoding="ascii", newline="") as fh:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -262,7 +262,7 @@ def _read_two_column_csv(path, value_names):
     """CSV keyed by first column; value taken from the first matching header.
     An id may appear on one row only."""
     out = {}
-    with open(path, "r", encoding="ascii", newline="") as fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if not header or len(header) < 2:

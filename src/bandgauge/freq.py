@@ -38,14 +38,18 @@ SOBEL_Y = SOBEL_X.T.copy()
 
 @dataclass(frozen=True)
 class HighFreqMap:
-    """Non-negative gradient magnitudes, same shape as the source."""
+    """Non-negative gradient magnitudes, same shape as the source.
+
+    A field of more than two dimensions is a stack of tiles' maps over its
+    last two axes.
+    """
 
     values: np.ndarray
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2:
-            raise ValueError("expected a 2-D magnitude field")
+        if v.ndim < 2:
+            raise ValueError("expected a magnitude field of at least 2 dimensions")
         if v.size and float(v.min()) < 0.0:
             raise ValueError("gradient magnitudes must be non-negative")
         v = np.ascontiguousarray(v)
@@ -54,11 +58,11 @@ class HighFreqMap:
 
     @property
     def width(self) -> int:
-        return self.values.shape[1]
+        return self.values.shape[-1]
 
     @property
     def height(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-2]
 
 
 @dataclass(frozen=True)
@@ -119,18 +123,60 @@ def _as_plane(img) -> np.ndarray:
 
 
 def sobel_hfm(patch) -> HighFreqMap:
-    """Gradient-magnitude map of a 1-channel float patch."""
-    arr = _as_plane(patch)
-    if min(arr.shape) < 3:
+    """Gradient-magnitude map of a 1-channel float patch, or of a stack of
+    patches over the last two axes, each with its own replicated border."""
+    arr = _as_plane(patch) if isinstance(patch, PlanarImage) else np.asarray(patch, np.float64)
+    if arr.ndim < 2:
+        raise ValueError("expected an array of at least 2 dimensions")
+    if min(arr.shape[-2:]) < 3:
         raise ValueError("patch must be at least 3x3")
-    h, w = arr.shape
-    p = np.pad(arr, 1, mode="edge")
+    arr = np.ascontiguousarray(arr)
     # Opposite kernel taps are differenced first so constants cancel exactly.
-    east_west = p[:, 2 : w + 2] - p[:, 0:w]
-    gx = east_west[0:h] + _SQ2 * east_west[1 : h + 1] + east_west[2 : h + 2]
-    south_north = p[2 : h + 2, :] - p[0:h, :]
-    gy = south_north[:, 0:w] + _SQ2 * south_north[:, 1 : w + 1] + south_north[:, 2 : w + 2]
-    return HighFreqMap(np.sqrt(gx * gx + gy * gy))
+    gx = _smooth_across(_central_difference(arr, -1), -2)
+    gy = _smooth_across(_central_difference(arr, -2), -1)
+    gx *= gx
+    gy *= gy
+    gx += gy
+    return HighFreqMap(np.sqrt(gx, out=gx))
+
+
+# The Sobel helpers run each step as one pass over the flattened stack, so
+# that numpy loops over contiguous memory instead of row by row.  A flat
+# shift by one row or column reads across a tile's edge only in the tile's
+# first and last line along that axis; those lines are then redone with the
+# tile's edge replicated, which is what padding the tile would give.
+
+
+def _lines(axis: int):
+    """Index of the first / second / second-last / last line along axis."""
+    tail = (slice(None),) if axis == -2 else ()
+    return [(Ellipsis, i) + tail for i in (0, 1, -2, -1)]
+
+
+def _central_difference(arr: np.ndarray, axis: int) -> np.ndarray:
+    """arr[i + 1] - arr[i - 1] along axis, the edge sample replicated."""
+    step = arr.strides[axis] // arr.itemsize
+    flat, out = arr.reshape(-1), np.empty_like(arr)
+    np.subtract(flat[2 * step :], flat[: -2 * step], out=out.reshape(-1)[step:-step])
+    first, second, second_last, last = _lines(axis)
+    np.subtract(arr[second], arr[first], out=out[first])
+    np.subtract(arr[last], arr[second_last], out=out[last])
+    return out
+
+
+def _smooth_across(d: np.ndarray, axis: int) -> np.ndarray:
+    """(d[i - 1] + sqrt2 * d[i]) + d[i + 1] along axis, the edge replicated."""
+    step = d.strides[axis] // d.itemsize
+    flat, out = d.reshape(-1), _SQ2 * d
+    out_flat = out.reshape(-1)
+    out_flat[step:] += flat[:-step]
+    out_flat[:-step] += flat[step:]
+    first, second, second_last, last = _lines(axis)
+    for line, before, after in ((first, first, second), (last, second_last, last)):
+        np.multiply(d[line], _SQ2, out=out[line])
+        out[line] += d[before]
+        out[line] += d[after]
+    return out
 
 
 def gradient_magnitude(arr: np.ndarray) -> np.ndarray:

@@ -151,6 +151,21 @@ class PatchGrid:
         n = self.patch_size
         return arr[y : y + n, x : x + n]
 
+    def blocks(self, plane: np.ndarray):
+        """Yield (index of the first patch, float64 (B, n, n) copy) per block.
+
+        Blocks follow raster order and never span two grid rows; each is cut
+        from one row's (n, cols, n) view, so the plane is never copied whole.
+        B = max(1, min(cols, BLOCK_PIXELS // n^2)) keeps a block in cache.
+        """
+        n, cols = self.patch_size, self.cols
+        step = max(1, min(cols, BLOCK_PIXELS // (n * n)))
+        for r in range(self.rows):
+            row = plane[r * n : (r + 1) * n, : cols * n].reshape(n, cols, n)
+            for c in range(0, cols, step):
+                block = row[:, c : c + step].transpose(1, 0, 2)
+                yield r * cols + c, block.astype(np.float64, order="C")
+
 
 def tile(img: PlanarImage, n: int) -> PatchGrid:
     """Tile an image into an N x N grid; remainders are discarded."""
@@ -167,24 +182,40 @@ def tile(img: PlanarImage, n: int) -> PatchGrid:
 # BT.601 luma weights; the synthetic data targets YCbCr 4:2:0 sources.
 _LUMA_R, _LUMA_G, _LUMA_B = 0.299, 0.587, 0.114
 
+# Pixels per block of the streamed per-pixel and per-tile stages (to_luma,
+# PatchGrid.blocks).  The work is memory-bound: a block this size keeps its
+# float64 temporaries in a 2 MB L2, and both 2**17 and whole frames measure
+# slower.
+BLOCK_PIXELS = 2**16
+
 
 def to_luma(img: PlanarImage) -> PlanarImage:
     """Single-channel float image in [0, 1].
 
     3-channel input is combined with BT.601 weights; 1-channel input is only
-    rescaled (8-bit) or passed through (float).
+    rescaled (8-bit) or passed through (float).  Rows are converted in blocks
+    of about BLOCK_PIXELS into one float32 plane.
     """
-    if img.channels == 3:
-        r, g, b = (p.astype(np.float64) for p in img.planes)
-        y = _LUMA_R * r + _LUMA_G * g + _LUMA_B * b
+    out = np.empty((img.height, img.width), dtype=np.float32)
+    step = max(1, BLOCK_PIXELS // img.width)
+    for r0 in range(0, img.height, step):
+        rows = slice(r0, r0 + step)
+        if img.channels == 3:
+            # _LUMA_R * r + _LUMA_G * g + _LUMA_B * b, in place
+            y, g, b = (p[rows].astype(np.float64) for p in img.planes)
+            y *= _LUMA_R
+            g *= _LUMA_G
+            y += g
+            b *= _LUMA_B
+            y += b
+        else:
+            y = img.planes[0][rows].astype(np.float64)
         if not img.is_float:
             y /= 255.0
-    else:
-        y = img.planes[0].astype(np.float64)
-        if not img.is_float:
-            y /= 255.0
-    y = np.clip(y, 0.0, 1.0).astype(np.float32)
-    return PlanarImage(img.width, img.height, 1, (y,))
+        out[rows] = np.clip(y, 0.0, 1.0, out=y)
+    # Read-only before PlanarImage sees it, so _freeze keeps it uncopied.
+    out.flags.writeable = False
+    return PlanarImage(img.width, img.height, 1, (out,))
 
 
 def rgb_to_ycbcr420(img: PlanarImage):

@@ -3,6 +3,8 @@
 The classifier backend is either a trained dual-branch model or the
 handcrafted baseline rule; in both cases the per-pixel banding map and the
 pooled severity score come out of the same masking and pooling path.
+The per-tile stages run over blocks of tiles (``PatchGrid.blocks``) cut from
+the float32 luma plane, so no whole-frame float64 copy of it is made.
 """
 
 from __future__ import annotations
@@ -65,22 +67,11 @@ def score_image(
         raise ValueError(
             f"model was trained at {model.patch_size}, config asks for {n}"
         )
-    luma = to_luma(img).planes[0].astype(np.float64)
+    luma = to_luma(img).planes[0]
     grid = tile(img, n)
-    if config.hfm_scope == "image":
-        whole = sobel_hfm(luma).values
-        hfms = [HighFreqMap(grid.extract(whole, k).copy()) for k in range(len(grid))]
-    else:
-        hfms = [sobel_hfm(grid.extract(luma, k)) for k in range(len(grid))]
-
     stats = grid_stats(luma, grid)
-    if model is not None:
-        lfms = [pws_lfm(grid.extract(luma, k), config.pws) for k in range(len(grid))]
-        probs = forward_batch(model, hfms, lfms)
-        banded, confidence = probs > 0.5, np.maximum(probs, 1.0 - probs)
-    else:
-        mean_grad = np.array([h.values.mean() for h in hfms])
-        banded, confidence = config.baseline.banded(mean_grad, stats.sf), np.ones(len(grid))
+    banded, confidence, hfms = _classify(luma, grid, stats, config, model)
+    del luma  # not read again; freed before the full-frame map is built
     labels = [
         PatchLabel(Label.BANDED if b else Label.NON_BANDED, float(c))
         for b, c in zip(banded, confidence)
@@ -90,3 +81,30 @@ def score_image(
     bm = banding_map(grid, labels, weights, hfms)
     qs = pool_score(bm, config.p_percent)
     return ImageResult(qs, bm)
+
+
+def _classify(luma, grid, stats, config: RunConfig, model):
+    """(banded, confidence, hfms) per tile, streamed over the grid's blocks.
+
+    The baseline path keeps the maps of banded tiles only, since banding_map
+    reads no other; the model classifies every tile and keeps them all.
+    """
+    whole = sobel_hfm(luma).values if config.hfm_scope == "image" else None
+    whole_blocks = None if whole is None else grid.blocks(whole)
+    hfms = [None] * len(grid)
+    banded = np.zeros(len(grid), dtype=bool)
+    lfms = []
+    for start, block in grid.blocks(luma):
+        hv = sobel_hfm(block).values if whole is None else next(whole_blocks)[1]
+        span = slice(start, start + len(block))
+        if model is None:
+            banded[span] = config.baseline.banded(hv.mean(axis=(-2, -1)), stats.sf[span])
+            for j in np.flatnonzero(banded[span]):
+                hfms[start + j] = HighFreqMap(hv[j])
+        else:
+            lfms.extend(pws_lfm(t, config.pws) for t in block)
+            hfms[span] = [HighFreqMap(v) for v in hv]
+    if model is None:
+        return banded, np.ones(len(grid)), hfms
+    probs = forward_batch(model, hfms, lfms)
+    return probs > 0.5, np.maximum(probs, 1.0 - probs), hfms

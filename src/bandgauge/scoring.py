@@ -71,7 +71,11 @@ class QualityScore:
 def banding_map(
     grid: PatchGrid, labels, weights: MaskWeights, hfms
 ) -> BandingMap:
-    """Assemble the per-pixel visibility field from per-patch pieces."""
+    """Assemble the per-pixel visibility field from per-patch pieces.
+
+    hfms[i] is read only for a banded patch i; the entry of a non-banded
+    patch may be None.
+    """
     k = len(grid)
     if len(labels) != k or len(weights.w) != k or len(hfms) != k:
         raise ValueError("per-patch collections must align with the grid")

@@ -46,19 +46,26 @@ class MaskWeights:
 
 
 def spatial_frequency(patch) -> tuple:
-    """(cf, rf, sf) of a square patch given as a 2-D array."""
+    """(cf, rf, sf) of a square patch given as a 2-D array.
+
+    A stack of square patches, over the last two axes, gives three arrays of
+    the stack's leading shape instead of three floats.
+    """
     arr = np.asarray(patch, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    if arr.ndim < 2 or arr.shape[-2] != arr.shape[-1]:
         raise ValueError(f"patch must be square, got shape {arr.shape}")
-    n = arr.shape[0]
+    n = arr.shape[-1]
     if n < 2:
         raise ValueError("patch must be at least 2x2")
-    col_diff = arr[:, 1:] - arr[:, :-1]
-    row_diff = arr[1:, :] - arr[:-1, :]
-    cs = float((col_diff**2).sum()) / (n * n)
-    rs = float((row_diff**2).sum()) / (n * n)
+    col_diff = arr[..., 1:] - arr[..., :-1]
+    row_diff = arr[..., 1:, :] - arr[..., :-1, :]
+    col_diff *= col_diff
+    row_diff *= row_diff
+    cs = col_diff.sum(axis=(-2, -1)) / (n * n)
+    rs = row_diff.sum(axis=(-2, -1)) / (n * n)
     # sf is taken from the unsquared sums so that cf^2 + rf^2 never rounds.
-    return float(np.sqrt(cs)), float(np.sqrt(rs)), float(np.sqrt(cs + rs))
+    out = np.sqrt(cs), np.sqrt(rs), np.sqrt(cs + rs)
+    return tuple(float(v) for v in out) if arr.ndim == 2 else out
 
 
 def sf_threshold(sf_values) -> float:
@@ -83,14 +90,9 @@ def mask_weight(sf: float, epsilon: float, n: int, gamma: float = 1.5) -> float:
 
 def grid_stats(luma: np.ndarray, grid: PatchGrid) -> SpatialFreqStats:
     """Spatial-frequency statistics for every patch of a tiled luma plane."""
-    cfs, rfs, sfs = [], [], []
-    for k in range(len(grid)):
-        cf, rf, sf = spatial_frequency(grid.extract(luma, k))
-        cfs.append(cf)
-        rfs.append(rf)
-        sfs.append(sf)
-    sfs = np.array(sfs)
-    return SpatialFreqStats(np.array(cfs), np.array(rfs), sfs, sf_threshold(sfs))
+    stats = [spatial_frequency(block) for _, block in grid.blocks(luma)]
+    cfs, rfs, sfs = (np.concatenate(v) for v in zip(*stats))
+    return SpatialFreqStats(cfs, rfs, sfs, sf_threshold(sfs))
 
 
 def mask_weights(stats: SpatialFreqStats, n: int, gamma: float = 1.5) -> MaskWeights:

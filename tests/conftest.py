@@ -27,6 +27,43 @@ def quantized_ramp_patch(n=64, levels=4, horizontal=True):
     return patch if horizontal else patch.T
 
 
+# Per-tile references for the streamed scoring stages: the formulas as they
+# ran one tile (or one whole frame) at a time, before blocks.
+
+SQ2 = np.sqrt(2.0)
+
+
+def luma_reference(img):
+    """The per-pixel luma formula on whole-frame float64 planes."""
+    if img.channels == 3:
+        r, g, b = (p.astype(np.float64) for p in img.planes)
+        y = 0.299 * r + 0.587 * g + 0.114 * b
+    else:
+        y = img.planes[0].astype(np.float64)
+    if not img.is_float:
+        y /= 255.0
+    return np.clip(y, 0.0, 1.0).astype(np.float32)
+
+
+def sobel_reference(patch):
+    """Sobel magnitude of one edge-padded 2-D array, differences taken first."""
+    h, w = patch.shape
+    p = np.pad(patch, 1, mode="edge")
+    east_west = p[:, 2 : w + 2] - p[:, 0:w]
+    gx = east_west[0:h] + SQ2 * east_west[1 : h + 1] + east_west[2 : h + 2]
+    south_north = p[2 : h + 2, :] - p[0:h, :]
+    gy = south_north[:, 0:w] + SQ2 * south_north[:, 1 : w + 1] + south_north[:, 2 : w + 2]
+    return np.sqrt(gx * gx + gy * gy)
+
+
+def sf_reference(patch):
+    """One tile's (cf, rf, sf)."""
+    n = patch.shape[0]
+    cs = float(((patch[:, 1:] - patch[:, :-1]) ** 2).sum()) / (n * n)
+    rs = float(((patch[1:, :] - patch[:-1, :]) ** 2).sum()) / (n * n)
+    return math.sqrt(cs), math.sqrt(rs), math.sqrt(cs + rs)
+
+
 def simpson_integral(fn, lo, hi, n=20000):
     """Composite Simpson; n is forced even."""
     if n % 2:

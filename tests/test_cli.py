@@ -10,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bandgauge.classifier import BaselineConfig, TrainConfig, init_params
-from bandgauge.cli import _SETTINGS, _build_parser, _load_config_file, _settings, main
+from bandgauge.cli import (
+    _SETTINGS,
+    _build_parser,
+    _load_config_file,
+    _read_two_column_csv,
+    _settings,
+    main,
+)
 from bandgauge.datagen import SynthSpec, gen_base, make_sample, quantize_bitdepth
 from bandgauge.imgcore import PlanarImage, load_image, save_image
 from bandgauge.pipeline import RunConfig, score_image
@@ -196,6 +203,15 @@ def test_score_csv_quotes_a_path_with_a_comma(tmp_path):
         header, row = list(csv.reader(fh))
     assert len(header) == len(row) == 4
     assert row[0] == str(src)
+
+
+def test_score_and_eval_read_a_non_ascii_path(tmp_path):
+    src = write_ramp(tmp_path, 4, name="café.png")
+    out = tmp_path / "s.csv"
+    assert main(["score", str(src), "--patch-size", "64", "--out", str(out)]) == 0
+    assert _read_two_column_csv(out, ("score", "q")) == {
+        str(src): float(out.read_text(encoding="utf-8").splitlines()[1].split(",")[1])
+    }
 
 
 def test_score_numeric_failure_exit_code(tmp_path, monkeypatch, capsys):

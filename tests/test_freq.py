@@ -14,8 +14,7 @@ from bandgauge.freq import (
     sobel_hfm,
 )
 from bandgauge.pipeline import RunConfig
-
-SQ2 = np.sqrt(2.0)
+from conftest import SQ2, sobel_reference
 
 
 def dense_direct_solve(i_arr, edges, alpha):
@@ -152,6 +151,34 @@ def test_constant_offset_invariance(rng):
 def test_small_patch_rejected():
     with pytest.raises(ValueError):
         sobel_hfm(np.zeros((2, 5)))
+    with pytest.raises(ValueError):
+        sobel_hfm(np.zeros((4, 3, 2)))
+    with pytest.raises(ValueError):
+        sobel_hfm(np.zeros(9))
+
+
+@st.composite
+def tile_stacks(draw):
+    """A (B, n, n) float64 stack, B in 1..5 and n in 3..40."""
+    b, n = draw(st.integers(1, 5)), draw(st.integers(3, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.sampled_from([2, 7, 256, 0]))  # 0: continuous values
+    stack = rng.random((b, n, n))
+    return np.floor(stack * levels) / levels if levels else stack
+
+
+@settings(max_examples=120, deadline=None)
+@given(tile_stacks())
+@example(np.zeros((1, 3, 3)))
+@example(np.arange(2 * 40 * 40, dtype=np.float64).reshape(2, 40, 40) / 3200.0)
+def test_sobel_on_a_stack_is_per_tile_bitwise(stack):
+    got = sobel_hfm(stack)
+    assert got.values.shape == stack.shape
+    assert (got.height, got.width) == stack.shape[1:]
+    for tile, values in zip(stack, got.values):
+        # Each tile of the stack keeps its own replicated border.
+        assert values.tobytes() == sobel_hfm(tile).values.tobytes()
+        assert values.tobytes() == sobel_reference(tile).tobytes()
 
 
 # --- energy --------------------------------------------------------------------

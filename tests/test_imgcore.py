@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from bandgauge import datagen
 from bandgauge.cli import main
 from bandgauge.imgcore import (
+    BLOCK_PIXELS,
     PNG_MAX_PIXELS,
     ImageFormatError,
     PlanarImage,
@@ -23,7 +24,7 @@ from bandgauge.imgcore import (
     to_luma,
     ycbcr420_to_rgb,
 )
-from conftest import gray_image, rgb_image
+from conftest import gray_image, luma_reference, rgb_image
 
 
 # --- PlanarImage invariants -------------------------------------------------
@@ -339,6 +340,32 @@ def test_luma_linearity_on_floats(rng):
         assert np.abs(lhs - rhs).max() < 1e-6
 
 
+@st.composite
+def luma_images(draw):
+    """Gray or RGB, uint8 or float32; 1-row and 1-column images, heights of
+    several row blocks, and widths past BLOCK_PIXELS (one row per block)."""
+    wide = draw(st.booleans())
+    w = draw(st.integers(BLOCK_PIXELS + 1, BLOCK_PIXELS + 9) if wide else st.integers(1, 400))
+    h = draw(st.integers(1, 3) if wide else st.integers(1, 700))
+    nch = draw(st.sampled_from([1, 3]))
+    shape = (h, w) if nch == 1 else (h, w, 3)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    arr = rng.integers(0, 256, shape, dtype=np.uint8)
+    if draw(st.booleans()):
+        arr = (arr / 255.0).astype(np.float32)
+    return PlanarImage.from_array(arr)
+
+
+@settings(max_examples=60, deadline=None)
+@given(luma_images())
+@example(rgb_image(255, 255, 255, w=1, h=1))
+@example(PlanarImage.from_array(np.full((BLOCK_PIXELS // 300 * 3 + 7, 300), 1.0, np.float32)))
+def test_blocked_luma_is_the_formula_bitwise(img):
+    plane = to_luma(img).planes[0]
+    assert plane.dtype == np.float32 and not plane.flags.writeable
+    assert plane.tobytes() == luma_reference(img).tobytes()
+
+
 # --- YCbCr 4:2:0 ---------------------------------------------------------------
 
 
@@ -434,3 +461,20 @@ def test_tile_disjoint_in_bounds_random_sizes(rng):
             covered[y : y + n, x : x + n] += 1
         assert covered.max() <= 1
         assert len(grid) == (w // n) * (h // n)
+
+
+def test_blocks_stream_the_grid_in_raster_order(rng):
+    for w, h, n in ((1920, 1080, 64), (1920, 1080, 235), (700, 300, 100), (50, 41, 8), (9, 9, 8)):
+        plane = rng.random((h, w)).astype(np.float32)
+        grid = tile(PlanarImage.from_array(plane), n)
+        step = max(1, min(grid.cols, BLOCK_PIXELS // (n * n)))
+        k = 0
+        for start, block in grid.blocks(plane):
+            assert start == k
+            assert block.dtype == np.float64 and block.flags.c_contiguous
+            # A block never runs past the end of its grid row.
+            assert len(block) == min(step, grid.cols - start % grid.cols)
+            for tile_values in block:
+                assert np.array_equal(tile_values, grid.extract(plane, k))
+                k += 1
+        assert k == len(grid)

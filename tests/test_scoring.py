@@ -71,6 +71,9 @@ def test_single_banded_patch_copies_hfm(rng):
     outside = bm.values.copy()
     outside[y : y + 32, x : x + 32] = 0.0
     assert outside.max() == 0.0
+    # Only a banded patch's map is read.
+    only_banded = [h if label.is_banded else None for h, label in zip(hfms, labels)]
+    assert banding_map(grid, labels, weights, only_banded).values.tobytes() == bm.values.tobytes()
 
 
 def test_weight_scales_linearly(rng):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bandgauge.imgcore import PlanarImage, tile
 from bandgauge.sfmask import (
@@ -13,6 +15,7 @@ from bandgauge.sfmask import (
     sf_threshold,
     spatial_frequency,
 )
+from conftest import sf_reference
 
 
 def test_constant_patch_zero():
@@ -38,6 +41,43 @@ def test_homogeneity(rng):
 def test_non_square_rejected():
     with pytest.raises(ValueError):
         spatial_frequency(np.zeros((4, 5)))
+    with pytest.raises(ValueError):
+        spatial_frequency(np.zeros((2, 4, 5)))
+    with pytest.raises(ValueError):
+        spatial_frequency(np.zeros(4))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 5), st.integers(3, 40), st.integers(0, 2**32 - 1), st.booleans())
+@example(1, 3, 0, False)
+@example(5, 40, 1, True)
+def test_spatial_frequency_on_a_stack_is_per_tile_bitwise(b, n, seed, quantized):
+    stack = np.random.default_rng(seed).random((b, n, n))
+    if quantized:
+        stack = np.floor(stack * 5) / 5
+    cf, rf, sf = spatial_frequency(stack)
+    assert cf.shape == rf.shape == sf.shape == (b,)
+    for k, patch in enumerate(stack):
+        want = spatial_frequency(patch)
+        assert all(type(v) is float for v in want)
+        assert want == sf_reference(patch)
+        assert (cf[k], rf[k], sf[k]) == want
+
+
+def test_grid_stats_is_per_tile_over_blocks(rng):
+    # With N = 12 a block is a whole grid row; with N = 100, 128 and 140 it
+    # holds 6, 4 and 3 tiles, so the 7- and 5-tile rows split in two.  The
+    # right and bottom remainders are left out.
+    luma = rng.random((300, 700)).astype(np.float32)
+    img = PlanarImage.from_array(luma)
+    for n in (12, 100, 128, 140):
+        grid = tile(img, n)
+        stats = grid_stats(luma, grid)
+        want = [
+            sf_reference(grid.extract(luma, k).astype(np.float64))
+            for k in range(len(grid))
+        ]
+        assert [tuple(v) for v in zip(stats.cf, stats.rf, stats.sf)] == want
 
 
 def test_threshold_identical_and_pair():
