@@ -5,10 +5,7 @@ from .classifier import (
     DualNetParams,
     PatchSample,
     TrainConfig,
-    baseline_predict,
-    forward,
     load_params,
-    predict,
     save_params,
     train,
 )

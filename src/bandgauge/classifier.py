@@ -24,9 +24,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .checks import check
-from .freq import HighFreqMap, LowFreqMap, PwsConfig, pws_lfm, sobel_hfm
-from .imgcore import Label, PatchLabel, PlanarImage, to_luma
-from .sfmask import spatial_frequency
+from .csvfile import write_rows
+from .freq import HighFreqMap, LowFreqMap
+from .imgcore import PatchLabel
 
 
 class WeightFormatError(ValueError):
@@ -365,11 +365,6 @@ def forward_batch(params: DualNetParams, h_batch, l_batch) -> np.ndarray:
     return _sigmoid(np.concatenate(logits))
 
 
-def forward(params: DualNetParams, hfm, lfm) -> float:
-    """Banded probability for one patch's frequency-map pair."""
-    return float(forward_batch(params, [hfm], [lfm])[0])
-
-
 def _stack_maps(maps, params: DualNetParams):
     n = params.patch_size
     out = np.empty((len(maps), n, n), dtype=params.head_w1.dtype)
@@ -528,7 +523,12 @@ def train(samples, cfg: TrainConfig, val_samples=None, report_path=None):
         _rebuild(params, best_tensors), seed=cfg.seed, epochs_trained=best_epoch
     )
     if report_path is not None:
-        _write_report(history, report_path)
+        write_rows(
+            report_path,
+            ("epoch", "train_loss", "val_loss", "val_acc"),
+            [(st.epoch, f"{st.train_loss:.8g}", f"{st.val_loss:.8g}", f"{st.val_acc:.8g}")
+             for st in history],
+        )
     return final, history
 
 
@@ -537,53 +537,6 @@ def _dataset_arrays(samples, params):
     l = _stack_maps([s.lfm for s in samples], params)
     y = np.array([1.0 if s.label.is_banded else 0.0 for s in samples])
     return h, l, y
-
-
-def _write_report(history, path):
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write("epoch,train_loss,val_loss,val_acc\n")
-        for st in history:
-            fh.write(
-                f"{st.epoch},{st.train_loss:.8g},{st.val_loss:.8g},{st.val_acc:.8g}\n"
-            )
-
-
-# ---------------------------------------------------------------------------
-# Prediction
-
-
-def predict(params: DualNetParams, patch, pws_cfg: PwsConfig | None = None) -> PatchLabel:
-    """Classify one patch: frequency maps are computed here."""
-    luma = _patch_luma(patch)
-    if luma.shape != (params.patch_size, params.patch_size):
-        raise ValueError(
-            f"patch shape {luma.shape} does not match model size {params.patch_size}"
-        )
-    hfm = sobel_hfm(luma)
-    lfm = pws_lfm(luma, pws_cfg or PwsConfig())
-    p = forward(params, hfm, lfm)
-    banded = p > 0.5  # exact tie counts as non-banded
-    return PatchLabel(Label.BANDED if banded else Label.NON_BANDED, max(p, 1.0 - p))
-
-
-def baseline_predict(patch, cfg: BaselineConfig = BaselineConfig()) -> PatchLabel:
-    """Training-free rule: contours present, overall activity low."""
-    luma = _patch_luma(patch)
-    if min(luma.shape) < 8:
-        raise ValueError("baseline rule needs patches of at least 8x8")
-    mean_grad = float(sobel_hfm(luma).values.mean())
-    _, _, sf = spatial_frequency(luma)
-    banded = cfg.banded(mean_grad, sf)
-    return PatchLabel(Label.BANDED if banded else Label.NON_BANDED, 1.0)
-
-
-def _patch_luma(patch) -> np.ndarray:
-    if isinstance(patch, PlanarImage):
-        return to_luma(patch).planes[0].astype(np.float64)
-    arr = np.asarray(patch, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError("expected a 2-D patch")
-    return arr
 
 
 # ---------------------------------------------------------------------------

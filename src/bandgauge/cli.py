@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import csv
 import dataclasses
-import io
 import json
 import os
 import sys
@@ -21,6 +19,7 @@ import numpy as np
 
 from . import classifier, datagen, evalharness, subjective
 from .classifier import TrainConfig, TrainingDivergedError
+from .csvfile import read_keyed, write_rows
 from .freq import pws_lfm, sobel_hfm
 from .imgcore import ImageFormatError, load_image, save_image, to_luma
 from .pipeline import RunConfig, score_image
@@ -182,9 +181,7 @@ def _config_and_model(args, filecfg):
 
 def _cmd_score(args, filecfg) -> int:
     config, model = _config_and_model(args, filecfg)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["path", "q", "banded_patch_count", "total_patches"])
+    rows = []
     exit_code = EXIT_OK
 
     def one(path):
@@ -204,15 +201,10 @@ def _cmd_score(args, filecfg) -> int:
                 print(f"input error: {path}: {exc}", file=sys.stderr)
                 exit_code = max(exit_code, EXIT_INPUT)
                 continue
-            writer.writerow(
-                [path, f"{res.score.q:.10g}", res.banded_patch_count, res.bmap.total_patches]
+            rows.append(
+                (path, f"{res.score.q:.10g}", res.banded_patch_count, res.bmap.total_patches)
             )
-    text = buf.getvalue()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    write_rows(args.out, ("path", "q", "banded_patch_count", "total_patches"), rows)
     return exit_code
 
 
@@ -258,41 +250,17 @@ def _cmd_train(args, filecfg) -> int:
     return EXIT_OK
 
 
-def _read_two_column_csv(path, value_names):
-    """CSV keyed by first column; value taken from the first matching header.
-    An id may appear on one row only."""
-    out = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or len(header) < 2:
-            raise ValueError(f"{path}:1: need a header with at least two columns")
-        idx = None
-        for name in value_names:
-            if name in header:
-                idx = header.index(name)
-                break
-        if idx is None:
-            raise ValueError(
-                f"{path}:1: no column named one of {value_names} in {header}"
-            )
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) <= idx:
-                raise ValueError(f"{path}:{line_no}: short row")
-            if row[0] in out:
-                raise ValueError(f"{path}:{line_no}: duplicate id {row[0]!r}")
-            try:
-                out[row[0]] = float(row[idx])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: bad value {row[idx]!r}") from exc
-    return out
+def _label(text) -> int:
+    if text not in ("0", "1"):
+        raise ValueError("label must be 0 or 1")
+    return int(text)
 
 
 def _cmd_eval(args, filecfg) -> int:
-    scores = _read_two_column_csv(args.scores, ("score", "q"))
+    scores = read_keyed(args.scores, ("score", "q"))
     rows = []
     if args.mos:
-        target = _read_two_column_csv(args.mos, ("mos",))
+        target = read_keyed(args.mos, ("mos",))
         ids = sorted(set(scores) & set(target))
         if len(ids) < 6:
             raise ValueError("need at least 6 common ids for correlation metrics")
@@ -305,12 +273,12 @@ def _cmd_eval(args, filecfg) -> int:
         rows.append(("rmse", rmse))
         rows.append(("n", float(len(ids))))
     elif args.labels:
-        target = _read_two_column_csv(args.labels, ("label",))
+        target = read_keyed(args.labels, ("label",), _label)
         ids = sorted(set(scores) & set(target))
         if len(ids) < 4:
             raise ValueError("need at least 4 common ids for classification metrics")
         s = np.array([scores[i] for i in ids])
-        lab = np.array([int(target[i]) for i in ids])
+        lab = np.array([target[i] for i in ids])
         rp = evalharness.roc_pr(s, lab)
         thr, acc = evalharness.threshold_search(s, lab)
         rows.extend(
@@ -323,25 +291,17 @@ def _cmd_eval(args, filecfg) -> int:
             ]
         )
         if args.curves:
-            _write_points(f"{args.curves}.roc.csv", "fpr,tpr", rp.roc_points)
-            _write_points(f"{args.curves}.pr.csv", "recall,precision", rp.pr_points)
+            fmt = lambda points: [(f"{a:.10g}", f"{b:.10g}") for a, b in points]  # noqa: E731
+            write_rows(f"{args.curves}.roc.csv", ("fpr", "tpr"), fmt(rp.roc_points))
+            write_rows(f"{args.curves}.pr.csv", ("recall", "precision"), fmt(rp.pr_points))
     else:
         raise ValueError("eval needs --mos or --labels")
-    text = "metric,value\n" + "".join(f"{k},{v:.10g}\n" for k, v in rows)
     if args.out:
-        with open(args.out, "w", encoding="ascii", newline="") as fh:
-            fh.write(text)
+        write_rows(args.out, ("metric", "value"), [(k, f"{v:.10g}") for k, v in rows])
     width = max(len(k) for k, _ in rows)
     for k, v in rows:
         print(f"{k:<{width}}  {v:.6g}")
     return EXIT_OK
-
-
-def _write_points(path, header, points) -> None:
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(header + "\n")
-        for a, b in points:
-            fh.write(f"{a:.10g},{b:.10g}\n")
 
 
 def _cmd_mos(args, filecfg) -> int:

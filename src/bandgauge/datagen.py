@@ -13,7 +13,6 @@ image can leak across splits.  Every image derives its own RNG stream from
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass
 
@@ -21,6 +20,7 @@ import numpy as np
 
 from .checks import check
 from .classifier import PatchSample
+from .csvfile import read_rows, write_rows
 from .freq import PwsConfig, pws_lfm, sobel_hfm
 from .imgcore import (
     Label,
@@ -36,9 +36,10 @@ from .imgcore import (
 KINDS = ("linear_ramp", "radial_ramp", "sky_gradient", "noise_texture", "mixed_scene")
 _SMOOTH_KINDS = ("linear_ramp", "radial_ramp", "sky_gradient")
 
-# Depth levels used for generated corpora; the deepest still-banded depth is
-# configurable through banded_max_depth.
-DEFAULT_DEPTHS = (2, 3, 4, 5, 6, 7)
+DEPTHS = (2, 3, 4, 5, 6, 7)  # bit depths of generated images, in turn
+BANDED_MAX_DEPTH = 6  # ground truth: see make_sample
+CONTOUR_RADIUS = 16
+NOISE_SIGMA = 24.0  # gray levels, of the noise_texture base
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,6 @@ class SynthSpec:
     kind: str
     size: int = 256
     bit_depth: int = 4
-    noise_sigma: float = 24.0
     seed: int = 0
 
     def __post_init__(self):
@@ -83,10 +83,10 @@ def gen_base(spec: SynthSpec) -> PlanarImage:
     elif spec.kind == "sky_gradient":
         field = _sky_gradient(s, rng)
     elif spec.kind == "noise_texture":
-        field = _noise_texture(s, rng, spec.noise_sigma)
+        field = _noise_texture(s, rng)
     else:  # mixed_scene: smooth upper half, noise lower half
         top = _linear_ramp(s, rng)[: s // 2]
-        bottom = _noise_texture(s, rng, spec.noise_sigma)[s - s // 2 :]
+        bottom = _noise_texture(s, rng)[s - s // 2 :]
         field = np.vstack([top, bottom])
     arr = np.clip(np.rint(field), 0, 255).astype(np.uint8)
     return PlanarImage.from_array(arr)
@@ -127,8 +127,8 @@ def _sky_gradient(s: int, rng) -> np.ndarray:
     return field * (255.0 / field.max())
 
 
-def _noise_texture(s: int, rng, sigma: float) -> np.ndarray:
-    return 128.0 + rng.normal(0.0, max(sigma, 1.0), size=(s, s))
+def _noise_texture(s: int, rng) -> np.ndarray:
+    return 128.0 + rng.normal(0.0, NOISE_SIGMA, size=(s, s))
 
 
 def quantize_bitdepth(img: PlanarImage, d: int) -> PlanarImage:
@@ -175,26 +175,24 @@ def _dilate(mask: np.ndarray, radius: int) -> np.ndarray:
     return out
 
 
-def make_sample(
-    spec: SynthSpec, banded_max_depth: int = 6, contour_radius: int = 16
-) -> GeneratedSample:
+def make_sample(spec: SynthSpec) -> GeneratedSample:
     """Quantized image plus its pixel-level ground truth.
 
     A pixel counts as banded when it is smooth in the base, the depth is at
-    most banded_max_depth, and a quantization plateau boundary passes within
-    contour_radius: flat patches deep inside one plateau carry no visible
+    most BANDED_MAX_DEPTH, and a quantization plateau boundary passes within
+    CONTOUR_RADIUS: flat patches deep inside one plateau carry no visible
     contour and stay non-banded.
     """
     base = gen_base(spec)
     image = quantize_bitdepth(base, spec.bit_depth)
     s = spec.size
     mask = np.zeros((s, s), dtype=bool)
-    if spec.bit_depth <= banded_max_depth and spec.kind != "noise_texture":
+    if spec.bit_depth <= BANDED_MAX_DEPTH and spec.kind != "noise_texture":
         q = image.planes[0]
         contour = np.zeros((s, s), dtype=bool)
         contour[:, :-1] |= q[:, 1:] != q[:, :-1]
         contour[:-1, :] |= q[1:, :] != q[:-1, :]
-        mask = _dilate(contour, contour_radius)
+        mask = _dilate(contour, CONTOUR_RADIUS)
         if spec.kind == "mixed_scene":
             mask[s // 2 :, :] = False
     return GeneratedSample(image, mask, spec)
@@ -239,7 +237,6 @@ def make_dataset(
     split=(0.8, 0.1, 0.1),
     patch_size: int = 64,
     image_size: int = 256,
-    depths=DEFAULT_DEPTHS,
     out_dir=None,
     pws_cfg: PwsConfig | None = None,
 ) -> DatasetBundle:
@@ -273,7 +270,7 @@ def make_dataset(
     manifest = []
     for i in range(n_images):
         kind = KINDS[i % len(KINDS)]
-        depth = depths[i % len(depths)]
+        depth = DEPTHS[i % len(DEPTHS)]
         spec = SynthSpec(
             kind, size=image_size, bit_depth=depth, seed=_image_seed(seed, i)
         )
@@ -306,14 +303,16 @@ def _image_seed(root_seed: int, index: int) -> int:
     return int(np.random.SeedSequence([root_seed, index]).generate_state(1)[0])
 
 
+_MANIFEST_HEADER = ("image_path", "patch_x", "patch_y", "N", "label", "split")
+
+
 def write_manifest(rows, path) -> None:
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["image_path", "patch_x", "patch_y", "N", "label", "split"])
-        for r in rows:
-            writer.writerow(
-                [r.image_path, r.patch_x, r.patch_y, r.patch_size, r.label.value, r.split]
-            )
+    write_rows(
+        path,
+        _MANIFEST_HEADER,
+        [(r.image_path, r.patch_x, r.patch_y, r.patch_size, r.label.value, r.split)
+         for r in rows],
+    )
 
 
 class ManifestError(ValueError):
@@ -321,27 +320,25 @@ class ManifestError(ValueError):
 
 
 def read_manifest(path):
-    rows = []
-    with open(path, "r", encoding="ascii", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["image_path", "patch_x", "patch_y", "N", "label", "split"]:
-            raise ManifestError(f"{path}:1: unexpected manifest header {header}")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != 6:
-                raise ManifestError(f"{path}:{line_no}: expected 6 fields, got {len(row)}")
-            try:
-                x, y, n = int(row[1]), int(row[2]), int(row[3])
-            except ValueError as exc:
-                raise ManifestError(f"{path}:{line_no}: non-integer coordinate") from exc
-            try:
-                label = Label(row[4])
-            except ValueError as exc:
-                raise ManifestError(f"{path}:{line_no}: unknown label {row[4]!r}") from exc
-            if row[5] not in ("train", "val", "test"):
-                raise ManifestError(f"{path}:{line_no}: unknown split {row[5]!r}")
-            rows.append(ManifestRow(row[0], x, y, n, label, row[5]))
-    return rows
+    try:
+        rows = read_rows(path, _MANIFEST_HEADER)
+        return [_manifest_row(path, line_no, row) for line_no, row in rows]
+    except ValueError as exc:
+        raise ManifestError(str(exc)) from None
+
+
+def _manifest_row(path, line_no, row) -> ManifestRow:
+    try:
+        x, y, n = int(row[1]), int(row[2]), int(row[3])
+    except ValueError:
+        raise ValueError(f"{path}:{line_no}: non-integer coordinate") from None
+    try:
+        label = Label(row[4])
+    except ValueError:
+        raise ValueError(f"{path}:{line_no}: unknown label {row[4]!r}") from None
+    if row[5] not in ("train", "val", "test"):
+        raise ValueError(f"{path}:{line_no}: unknown split {row[5]!r}")
+    return ManifestRow(row[0], x, y, n, label, row[5])
 
 
 def load_dataset(manifest_path, pws_cfg: PwsConfig | None = None):

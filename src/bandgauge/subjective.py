@@ -15,7 +15,6 @@ three scores.  The mean of the kept scores is the MOS.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass
@@ -23,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checks import check
+from .csvfile import read_rows, write_rows
 from .statdist import student_t_upper_critical
 
 
@@ -122,37 +122,22 @@ def mos(scores) -> float:
 # ---------------------------------------------------------------------------
 # CSV surfaces
 
-
 def read_ratings_csv(path):
     """(image_id, rater_id, score) rows -> list of RatingSet, input order."""
     by_image = {}
-    order = []
-    with open(path, "r", encoding="ascii", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["image_id", "rater_id", "score"]:
-            raise ValueError(f"{path}:1: expected header image_id,rater_id,score")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != 3:
-                raise ValueError(f"{path}:{line_no}: expected 3 fields")
-            try:
-                score = float(row[2])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: bad score {row[2]!r}") from exc
-            if row[0] not in by_image:
-                by_image[row[0]] = []
-                order.append(row[0])
-            by_image[row[0]].append(score)
-    return [RatingSet(img, tuple(by_image[img])) for img in order]
+    for line_no, (image_id, _, text) in read_rows(path, ("image_id", "rater_id", "score")):
+        try:
+            score = float(text)
+        except ValueError:
+            raise ValueError(f"{path}:{line_no}: bad score {text!r}") from None
+        by_image.setdefault(image_id, []).append(score)
+    return [RatingSet(image_id, tuple(scores)) for image_id, scores in by_image.items()]
 
 
 def write_mos_csv(results, path) -> None:
     """results: iterable of (image_id, mos, n_kept, n_removed)."""
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["image_id", "mos", "n_kept", "n_removed"])
-        for image_id, value, n_kept, n_removed in results:
-            writer.writerow([image_id, f"{value:.10g}", n_kept, n_removed])
+    rows = [(i, f"{v:.10g}", k, r) for i, v, k, r in results]
+    write_rows(path, ("image_id", "mos", "n_kept", "n_removed"), rows)
 
 
 def mos_pipeline(ratings, cfg: OutlierConfig = OutlierConfig()):

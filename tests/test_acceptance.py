@@ -121,19 +121,19 @@ def test_a2_end_to_end_monotonicity(trained, tmp_path):
 
 
 def test_predict_contract_with_trained_model(trained):
-    # Not a numbered criterion: the single-patch predict() path must agree
+    # Not a numbered criterion: score_image on a one-tile image must agree
     # with the trained model's batch behaviour on generated content.
-    from bandgauge.classifier import predict
-    from bandgauge.imgcore import Label, to_luma
+    from bandgauge.pipeline import RunConfig, score_image
 
     _, params, _, _ = trained
-    pws = PwsConfig(max_iters=120, tol=1e-5)
+    config = RunConfig(patch_size=64)
     ramp = quantize_bitdepth(
         gen_base(SynthSpec("linear_ramp", size=64, bit_depth=8, seed=123)), 3
     )
     noise = gen_base(SynthSpec("noise_texture", size=64, bit_depth=8, seed=124))
-    ramp_label = predict(params, to_luma(ramp).planes[0], pws)
-    noise_label = predict(params, to_luma(noise).planes[0], pws)
+    ramp_label, noise_label = (
+        score_image(img, config, params).bmap.patch_meta[0].label for img in (ramp, noise)
+    )
     assert ramp_label.value is Label.BANDED
     assert noise_label.value is Label.NON_BANDED
     assert ramp_label.confidence >= 0.5 and noise_label.confidence >= 0.5

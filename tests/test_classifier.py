@@ -19,20 +19,17 @@ from bandgauge.classifier import (
     _conv_backward,
     _conv_forward,
     _rebuild,
-    baseline_predict,
     bce_loss,
-    forward,
     forward_batch,
     init_params,
     load_params,
     loss_and_grads,
-    predict,
     save_params,
     train,
 )
-from bandgauge.freq import HighFreqMap, LowFreqMap, PwsConfig, pws_lfm, sobel_hfm
-from bandgauge.imgcore import Label, PatchLabel
-from bandgauge.pipeline import RunConfig
+from bandgauge.freq import HighFreqMap, LowFreqMap, PwsConfig, sobel_hfm
+from bandgauge.imgcore import Label, PatchLabel, PlanarImage
+from bandgauge.pipeline import RunConfig, score_image
 from bandgauge.sfmask import spatial_frequency
 from conftest import quantized_ramp_patch
 
@@ -43,6 +40,11 @@ def tiny_params(patch=8, widths=(2, 3, 4), fc=8, seed=0, dtype=np.float64):
 
 def zeroed(params):
     return _rebuild(params, [np.zeros_like(t) for t in params.tensors()])
+
+
+def forward(params, hfm, lfm):
+    """Probability for one (hfm, lfm) pair."""
+    return float(forward_batch(params, [hfm], [lfm])[0])
 
 
 def make_sample(hfm_arr, lfm_arr, banded):
@@ -403,23 +405,21 @@ def test_report_written(tmp_path):
     assert len(lines) == 3
 
 
-# --- predict ---------------------------------------------------------------------
+# --- classification through score_image -------------------------------------------
+
+
+def one_tile_labels(patch, model=None):
+    """The PatchLabel score_image gives a single-tile image of `patch`."""
+    config = RunConfig(patch_size=patch.shape[0], pws=PwsConfig(max_iters=5))
+    res = score_image(PlanarImage.from_array(patch), config, model)
+    assert res.bmap.total_patches == 1
+    return res.bmap.patch_meta[0].label
 
 
 def test_tie_is_non_banded():
-    params = zeroed(tiny_params(patch=8))
-    label = predict(params, np.full((8, 8), 0.5), PwsConfig(max_iters=5))
+    label = one_tile_labels(np.full((8, 8), 0.5), zeroed(tiny_params(patch=8)))
     assert label.value is Label.NON_BANDED
     assert label.confidence == 0.5
-
-
-def test_predict_solves_like_the_pipeline(rng):
-    # predict() without a config builds the low-frequency map exactly as
-    # score_image and the training data do.
-    params = tiny_params(patch=16, seed=3)
-    patch = quantized_ramp_patch(16, levels=3) + rng.normal(0.0, 0.02, (16, 16))
-    p = forward(params, sobel_hfm(patch), pws_lfm(patch, RunConfig().pws))
-    assert predict(params, patch).confidence == max(p, 1.0 - p)
 
 
 def test_trained_model_separates_ramp_from_noise():
@@ -455,7 +455,7 @@ def test_trained_model_separates_ramp_from_noise():
 
 
 def test_baseline_constant_patch():
-    assert baseline_predict(np.full((16, 16), 0.5)).value is Label.NON_BANDED
+    assert one_tile_labels(np.full((16, 16), 0.5)).value is Label.NON_BANDED
 
 
 def test_baseline_noise_patch(rng):
@@ -463,7 +463,8 @@ def test_baseline_noise_patch(rng):
     cfg = BaselineConfig()
     _, _, sf = spatial_frequency(patch)
     assert sf >= cfg.sf_ceiling  # the rule's reason: too active
-    assert baseline_predict(patch, cfg).value is Label.NON_BANDED
+    assert not cfg.banded(float(sobel_hfm(patch).values.mean()), sf)
+    assert one_tile_labels(patch).value is Label.NON_BANDED
 
 
 def test_baseline_quantized_ramp():
@@ -472,12 +473,14 @@ def test_baseline_quantized_ramp():
     mean_grad = float(sobel_hfm(patch).values.mean())
     _, _, sf = spatial_frequency(patch)
     assert mean_grad > cfg.grad_floor and sf < cfg.sf_ceiling
-    assert baseline_predict(patch, cfg).value is Label.BANDED
+    assert cfg.banded(mean_grad, sf)
+    assert one_tile_labels(patch).value is Label.BANDED
 
 
 def test_baseline_small_patch_rejected():
+    # The rule never sees a patch smaller than 8x8: the config refuses one.
     with pytest.raises(ValueError):
-        baseline_predict(np.zeros((4, 4)))
+        RunConfig(patch_size=4)
 
 
 # --- weight container ---------------------------------------------------------------

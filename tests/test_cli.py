@@ -14,10 +14,10 @@ from bandgauge.cli import (
     _SETTINGS,
     _build_parser,
     _load_config_file,
-    _read_two_column_csv,
     _settings,
     main,
 )
+from bandgauge.csvfile import read_keyed
 from bandgauge.datagen import SynthSpec, gen_base, make_sample, quantize_bitdepth
 from bandgauge.imgcore import PlanarImage, load_image, save_image
 from bandgauge.pipeline import RunConfig, score_image
@@ -209,9 +209,50 @@ def test_score_and_eval_read_a_non_ascii_path(tmp_path):
     src = write_ramp(tmp_path, 4, name="café.png")
     out = tmp_path / "s.csv"
     assert main(["score", str(src), "--patch-size", "64", "--out", str(out)]) == 0
-    assert _read_two_column_csv(out, ("score", "q")) == {
+    assert read_keyed(out, ("score", "q")) == {
         str(src): float(out.read_text(encoding="utf-8").splitlines()[1].split(",")[1])
     }
+
+
+def test_score_mos_eval_chain_with_non_ascii_ids(tmp_path, capsys):
+    # score -> mos -> eval on images whose names are not ASCII, one of them
+    # holding a comma as well.
+    names = ["café.png", "naïve.png", "Ω,1.png", "日本.png", "ü.png", "ß.png"]
+    paths = [str(write_ramp(tmp_path, d, size=128, name=n)) for d, n in zip(range(2, 8), names)]
+    scores = tmp_path / "s.csv"
+    assert main(["score", *paths, "--patch-size", "64", "--out", str(scores)]) == 0
+    ratings = tmp_path / "r.csv"
+    with open(ratings, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["image_id", "rater_id", "score"])
+        for k, path in enumerate(paths):
+            writer.writerows([path, f"r{r}", 90 - 10 * k + r] for r in range(5))
+    mos = tmp_path / "m.csv"
+    assert main(["mos", "--ratings", str(ratings), "--out", str(mos)]) == 0
+    report = tmp_path / "e.csv"
+    assert main(["eval", "--scores", str(scores), "--mos", str(mos), "--out", str(report)]) == 0
+    metrics = read_keyed(report, ("value",))
+    assert metrics["n"] == 6.0
+    assert read_keyed(mos, ("mos",))[paths[0]] == 92.0
+
+
+@pytest.mark.parametrize("bad", ["0.7", "1.0", "2", "-1", "yes", "nan", ""])
+def test_eval_label_must_be_0_or_1(tmp_path, capsys, bad):
+    scores = tmp_path / "s.csv"
+    scores.write_text("image_id,score\n" + "".join(f"i{i},{i}\n" for i in range(4)))
+    labels = tmp_path / "l.csv"
+    labels.write_text(f"image_id,label\ni0,0\ni1,1\ni2,{bad}\ni3,1\n")
+    assert main(["eval", "--scores", str(scores), "--labels", str(labels)]) == 1
+    assert f"{labels}:4: label must be 0 or 1" in capsys.readouterr().err
+
+
+def test_eval_labels_accept_0_and_1(tmp_path, capsys):
+    scores = tmp_path / "s.csv"
+    scores.write_text("image_id,score\n" + "".join(f"i{i},{i}\n" for i in range(4)))
+    labels = tmp_path / "l.csv"
+    labels.write_text("image_id,label\ni0,0\ni1,0\ni2,1\ni3,1\n")
+    assert main(["eval", "--scores", str(scores), "--labels", str(labels)]) == 0
+    assert "auroc      1" in capsys.readouterr().out
 
 
 def test_score_numeric_failure_exit_code(tmp_path, monkeypatch, capsys):
