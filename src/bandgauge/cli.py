@@ -91,7 +91,13 @@ def _build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("eval", help="evaluate scores against MOS or labels")
     ev.add_argument("--scores", required=True, help="CSV with image_id,score columns")
     ev.add_argument("--mos", help="CSV with image_id,mos columns (correlation task)")
-    ev.add_argument("--labels", help="CSV with image_id,label columns (classification)")
+    ev.add_argument(
+        "--labels",
+        help="CSV with image_id,label columns (classification); the reported threshold "
+        "is the smallest of: one below all scores, the midpoints between adjacent "
+        "distinct scores, one above all scores, at which score >= threshold is most "
+        "accurate",
+    )
     ev.add_argument("--out", help="metric report CSV (default stdout)")
     ev.add_argument(
         "--curves",

@@ -13,6 +13,12 @@ fitted by variable projection: b1, b4 and b5 enter linearly and are solved
 exactly, so only the slope b2 and centre b3 are searched, from a fixed grid
 and without random starts.  Every linear solve has x and 1 in its basis, so
 the fit is never worse than the affine least-squares fit.
+
+Ranks, tie counts and curve steps all come from the groups of equal
+scores.  The decision threshold is the smallest candidate at which
+`score >= threshold` is most accurate; the candidates are one below all
+scores, the midpoints between adjacent distinct scores and one above all
+scores, so with labels of one class it lies below or above every score.
 """
 
 from __future__ import annotations
@@ -38,19 +44,15 @@ def _paired(x, y, minimum=4):
     return x, y
 
 
+def _groups(v: np.ndarray):
+    """(distinct values ascending, group index of each element, group sizes)."""
+    return np.unique(v, return_inverse=True, return_counts=True)
+
+
 def _rankdata(v: np.ndarray) -> np.ndarray:
     """Average ranks, 1-based, ties averaged."""
-    order = np.argsort(v, kind="stable")
-    ranks = np.empty(v.size, dtype=np.float64)
-    sv = v[order]
-    i = 0
-    while i < v.size:
-        j = i
-        while j + 1 < v.size and sv[j + 1] == sv[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, group, counts = _groups(v)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[group]
 
 
 def pearson(x, y) -> float:
@@ -72,19 +74,17 @@ def srcc(predicted, subjective) -> float:
 def krcc(predicted, subjective) -> float:
     """Pairwise-order correlation, tie-corrected (tau-b)."""
     x, y = _paired(predicted, subjective, minimum=3)
-    sx = np.sign(x[:, None] - x[None, :])
-    sy = np.sign(y[:, None] - y[None, :])
-    iu = np.triu_indices(x.size, k=1)
-    prod = sx[iu] * sy[iu]
-    concordant = int((prod > 0).sum())
-    discordant = int((prod < 0).sum())
+    # Sum of sign products over the pairs (i, j > i), one row at a time.
+    score = sum(
+        int(np.sign(x[i + 1 :] - x[i]) @ np.sign(y[i + 1 :] - y[i]))
+        for i in range(x.size - 1)
+    )
     n0 = x.size * (x.size - 1) // 2
-    ties_x = n0 - int((sx[iu] != 0).sum())
-    ties_y = n0 - int((sy[iu] != 0).sum())
+    ties_x, ties_y = (int((c * (c - 1) // 2).sum()) for c in (_groups(x)[2], _groups(y)[2]))
     denom = math.sqrt((n0 - ties_x) * (n0 - ties_y))
     if denom == 0.0:
         raise ValueError("correlation undefined for a constant vector")
-    return (concordant - discordant) / denom
+    return score / denom
 
 
 @dataclass(frozen=True)
@@ -216,16 +216,13 @@ class RocPrResult:
 def _binary_set(scores, labels):
     s = np.asarray(scores, dtype=np.float64)
     lab = np.asarray(labels)
-    if s.shape != lab.shape or s.ndim != 1:
-        raise ValueError("scores and labels must be 1-D and equally long")
+    if s.shape != lab.shape or s.ndim != 1 or s.size == 0:
+        raise ValueError("scores and labels must be 1-D, non-empty and equally long")
     if not np.isfinite(s).all():
         raise ValueError("scores must be finite")
-    lab = lab.astype(np.int32)
-    if set(np.unique(lab).tolist()) - {0, 1}:
+    if not ((lab == 0) | (lab == 1)).all():
         raise ValueError("labels must be 0/1")
-    if lab.min() == lab.max():
-        raise ValueError("both classes must be present")
-    return s, lab
+    return s, lab.astype(np.int64)
 
 
 def roc_pr(scores, labels) -> RocPrResult:
@@ -236,84 +233,48 @@ def roc_pr(scores, labels) -> RocPrResult:
     (descending), handling tied scores as one block.
     """
     s, lab = _binary_set(scores, labels)
+    if lab.min() == lab.max():
+        raise ValueError("both classes must be present")
     n_pos = int(lab.sum())
     n_neg = lab.size - n_pos
 
-    ranks = _rankdata(s)
-    rank_sum = float(ranks[lab == 1].sum())
+    rank_sum = float(_rankdata(s)[lab == 1].sum())
     auroc = (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
-    order = np.argsort(-s, kind="stable")
-    s_ord = s[order]
-    lab_ord = lab[order]
-    tp = fp = 0
-    roc_points = [(0.0, 0.0)]
-    pr_points = []
-    auprc = 0.0
-    prev_recall = 0.0
-    i = 0
-    while i < s_ord.size:
-        j = i
-        while j + 1 < s_ord.size and s_ord[j + 1] == s_ord[i]:
-            j += 1
-        tp += int(lab_ord[i : j + 1].sum())
-        fp += (j - i + 1) - int(lab_ord[i : j + 1].sum())
-        recall = tp / n_pos
-        precision = tp / (tp + fp)
-        roc_points.append((fp / n_neg, recall))
-        pr_points.append((recall, precision))
-        auprc += (recall - prev_recall) * precision
-        prev_recall = recall
-        i = j + 1
-    return RocPrResult(float(auroc), float(auprc), tuple(roc_points), tuple(pr_points))
-
-
-def _accuracy_at(s, lab, threshold) -> float:
-    pred = s >= threshold
-    return float(np.mean(pred == (lab == 1)))
+    # Groups of -s run over the distinct scores in descending order.
+    _, group, counts = _groups(-s)
+    pos = np.bincount(group[lab == 1], minlength=counts.size)
+    tp, fp = np.cumsum(pos), np.cumsum(counts - pos)
+    recall, precision = tp / n_pos, tp / (tp + fp)
+    auprc = np.cumsum(np.diff(recall, prepend=0.0) * precision)[-1]
+    roc_points = ((0.0, 0.0), *zip((fp / n_neg).tolist(), recall.tolist()))
+    pr_points = tuple(zip(recall.tolist(), precision.tolist()))
+    return RocPrResult(float(auroc), float(auprc), roc_points, pr_points)
 
 
 def threshold_search(scores, labels) -> tuple:
     """(threshold, accuracy) maximizing accuracy of `score >= threshold`.
 
-    A half-interval (bisection) pass gives the fast path; because accuracy
-    is not unimodal the result is checked against exhaustive search over
-    candidate midpoints and the exhaustive optimum wins when better.
+    The candidate thresholds are one below all scores, the midpoints between
+    adjacent distinct scores and one above all scores; the smallest
+    candidate with the best accuracy wins.  Labels may all be one class.
     """
-    s = np.asarray(scores, dtype=np.float64)
-    lab = np.asarray(labels, dtype=np.int32)
-    if s.ndim != 1 or s.shape != lab.shape:
-        raise ValueError("scores and labels must be 1-D and equally long")
-    uniq = np.unique(s)
-    lo = float(uniq[0]) - 1.0
-    hi = float(uniq[-1]) + 1.0
-
-    # Fast path: half-interval search on the threshold axis.
-    best_t, best_acc = lo, _accuracy_at(s, lab, lo)
-    a, b = lo, hi
-    for _ in range(64):
-        mid = 0.5 * (a + b)
-        acc_mid = _accuracy_at(s, lab, mid)
-        if acc_mid > best_acc:
-            best_acc, best_t = acc_mid, mid
-        left = 0.5 * (a + mid)
-        right = 0.5 * (mid + b)
-        if _accuracy_at(s, lab, left) >= _accuracy_at(s, lab, right):
-            b = mid
-        else:
-            a = mid
-        if b - a <= 1e-12 * max(1.0, abs(hi)):
-            break
-
-    # Exhaustive verification over all decision boundaries.
-    candidates = [lo, hi]
-    candidates.extend(0.5 * (uniq[1:] + uniq[:-1]))
-    candidates.extend(uniq)
-    for t in candidates:
-        acc = _accuracy_at(s, lab, float(t))
-        if acc > best_acc or (acc == best_acc and float(t) < best_t):
-            best_acc, best_t = acc, float(t)
-    return best_t, best_acc
+    s, lab = _binary_set(scores, labels)
+    uniq, group, counts = _groups(s)
+    mids = 0.5 * (uniq[:-1] + uniq[1:])
+    # The midpoint of two adjacent floats rounds onto the lower one; cut at
+    # the upper one instead, so each cut separates its two groups.
+    mids = np.where(mids > uniq[:-1], mids, uniq[1:])
+    cuts = np.concatenate([[uniq[0] - 1.0], mids, [uniq[-1] + 1.0]])
+    pos = np.bincount(group[lab == 1], minlength=counts.size)
+    # Correct calls when groups k.. are called positive: every positive,
+    # plus the negatives below group k, minus the positives below group k.
+    correct = int(lab.sum()) + np.concatenate([[0], np.cumsum(counts - 2 * pos)])
+    # Index by the group each cut really starts at, so the accuracy is
+    # that of `score >= threshold` even where uniq[-1] + 1 rounds.
+    correct = correct[np.searchsorted(uniq, cuts)]
+    best = int(np.argmax(correct))
+    return float(cuts[best]), float(correct[best] / s.size)
 
 
 @dataclass(frozen=True)

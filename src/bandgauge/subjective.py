@@ -130,6 +130,10 @@ def read_ratings_csv(path):
             score = float(text)
         except ValueError:
             raise ValueError(f"{path}:{line_no}: bad score {text!r}") from None
+        if not 0.0 <= score <= 100.0:
+            raise ValueError(
+                f"{path}:{line_no}: score {text} for image {image_id} outside the 0-100 scale"
+            )
         by_image.setdefault(image_id, []).append(score)
     return [RatingSet(image_id, tuple(scores)) for image_id, scores in by_image.items()]
 

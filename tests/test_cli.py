@@ -587,3 +587,13 @@ def test_eval_duplicate_id_exits_1(tmp_path, capsys, which):
     argv = ["eval", "--scores", str(files["scores"]), f"--{target}", str(files[target])]
     assert main(argv) == 1
     assert f"{files[which]}:4: duplicate id 'img1'" in capsys.readouterr().err
+
+
+def test_mos_score_out_of_scale_names_file_and_line(tmp_path, capsys):
+    ratings = tmp_path / "r.csv"
+    ratings.write_text("image_id,rater_id,score\nimgA,r1,50\nimgA,r2,120\n")
+    out = tmp_path / "m.csv"
+    assert main(["mos", "--ratings", str(ratings), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{ratings}:3: score 120 for image imgA outside the 0-100 scale" in err
+    assert not out.exists()

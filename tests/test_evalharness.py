@@ -1,6 +1,7 @@
 """Correlations, logistic alignment, curves, threshold search, F-test."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,11 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bandgauge.evalharness import (
+    _rankdata,
     diversity_metrics,
     fit_logistic5,
     ftest_significance,
     krcc,
     logistic5,
+    pearson,
     plcc_rmse,
     roc_pr,
     srcc,
@@ -113,6 +116,80 @@ def naive_best_accuracy(scores, labels):
     return best
 
 
+# --- the earlier loop and sign-matrix implementations, kept as bit-exact oracles --------
+
+
+def loop_rankdata(v):
+    order = np.argsort(v, kind="stable")
+    ranks = np.empty(v.size, dtype=np.float64)
+    sv = v[order]
+    i = 0
+    while i < v.size:
+        j = i
+        while j + 1 < v.size and sv[j + 1] == sv[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+def matrix_krcc(x, y):
+    sx = np.sign(x[:, None] - x[None, :])
+    sy = np.sign(y[:, None] - y[None, :])
+    iu = np.triu_indices(x.size, k=1)
+    prod = sx[iu] * sy[iu]
+    concordant = int((prod > 0).sum())
+    discordant = int((prod < 0).sum())
+    n0 = x.size * (x.size - 1) // 2
+    ties_x = n0 - int((sx[iu] != 0).sum())
+    ties_y = n0 - int((sy[iu] != 0).sum())
+    denom = math.sqrt((n0 - ties_x) * (n0 - ties_y))
+    if denom == 0.0:
+        raise ValueError("correlation undefined for a constant vector")
+    return (concordant - discordant) / denom
+
+
+def loop_roc_pr(s, lab):
+    """(auroc, auprc, roc_points, pr_points)."""
+    n_pos = int(lab.sum())
+    n_neg = lab.size - n_pos
+    rank_sum = float(loop_rankdata(s)[lab == 1].sum())
+    auroc = (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    order = np.argsort(-s, kind="stable")
+    s_ord = s[order]
+    lab_ord = lab[order]
+    tp = fp = 0
+    roc_points = [(0.0, 0.0)]
+    pr_points = []
+    auprc = 0.0
+    prev_recall = 0.0
+    i = 0
+    while i < s_ord.size:
+        j = i
+        while j + 1 < s_ord.size and s_ord[j + 1] == s_ord[i]:
+            j += 1
+        tp += int(lab_ord[i : j + 1].sum())
+        fp += (j - i + 1) - int(lab_ord[i : j + 1].sum())
+        recall = tp / n_pos
+        precision = tp / (tp + fp)
+        roc_points.append((fp / n_neg, recall))
+        pr_points.append((recall, precision))
+        auprc += (recall - prev_recall) * precision
+        prev_recall = recall
+        i = j + 1
+    return float(auroc), float(auprc), tuple(roc_points), tuple(pr_points)
+
+
+def threshold_candidates(scores):
+    """One below all scores, the midpoints between distinct scores, one above all."""
+    u = sorted(set(scores))
+    return [u[0] - 1.0] + [0.5 * (a + b) for a, b in zip(u, u[1:])] + [u[-1] + 1.0]
+
+
+def bits(v):
+    return np.asarray(v, dtype=np.float64).tobytes()
+
+
 # --- correlations -------------------------------------------------------------------
 
 
@@ -158,6 +235,55 @@ def test_rank_metrics_monotone_invariant(rng):
     fx = np.exp(3.0 * x)  # strictly monotone transform
     assert srcc(fx, y) == pytest.approx(srcc(x, y), abs=1e-12)
     assert krcc(fx, y) == pytest.approx(krcc(x, y), abs=1e-12)
+
+
+@st.composite
+def tied_samples(draw):
+    """Integer-valued scores, mostly from a small range (top 0 ties every value)."""
+    n = draw(st.integers(3, 80))
+    top = draw(st.sampled_from([0, 1, 2, 4, 8, 30, 100]))
+    values = st.lists(st.integers(0, top), min_size=n, max_size=n)
+    x = np.array(draw(values), dtype=np.float64)
+    y = np.array(draw(values), dtype=np.float64)
+    labels = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    return x, y, labels
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_samples())
+@example((np.full(9, 3.0), np.arange(9.0) % 4, np.arange(9) % 2))  # all-tied scores
+def test_group_kernels_match_loop_oracles(sample):
+    x, y, labels = sample
+    assert bits(_rankdata(x)) == bits(loop_rankdata(x))
+    if np.ptp(x) > 0 and np.ptp(y) > 0:
+        assert bits(srcc(x, y)) == bits(pearson(loop_rankdata(x), loop_rankdata(y)))
+        assert bits(krcc(x, y)) == bits(matrix_krcc(x, y))
+    else:
+        with pytest.raises(ValueError):
+            krcc(x, y)
+    if labels.min() < labels.max():
+        res = roc_pr(x, labels)
+        auroc, auprc, roc_points, pr_points = loop_roc_pr(x, labels)
+        assert bits(res.auroc) == bits(auroc)
+        assert bits(res.auprc) == bits(auprc)
+        assert bits(res.roc_points) == bits(roc_points)
+        assert bits(res.pr_points) == bits(pr_points)
+    t, acc = threshold_search(x, labels)
+    assert acc == naive_best_accuracy(list(x), list(labels))
+    cands = threshold_candidates(list(x))
+    accs = [np.mean((x >= c) == (labels == 1)) for c in cands]
+    assert t == cands[accs.index(max(accs))]
+
+
+def test_krcc_memory_linear_in_n():
+    x, y = np.random.default_rng(3).random((2, 2000))
+    tracemalloc.start()
+    try:
+        krcc(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 # --- logistic fit ---------------------------------------------------------------------
@@ -322,6 +448,37 @@ def test_threshold_matches_exhaustive(rng):
         assert acc == pytest.approx(
             naive_best_accuracy(list(scores), list(labels)), abs=1e-12
         )
+
+
+@pytest.mark.parametrize(
+    "scores, labels",
+    [
+        ([math.nan, 0.5, 0.2, 0.9], [0, 1, 0, 1]),
+        ([0.1, 0.5, 0.2, 0.9], [0, 1, 2, 1]),
+        ([0.1, 0.5, 0.2, 0.9], [0, 1, 0.5, 1]),
+        ([], []),
+    ],
+    ids=["nan-score", "label-2", "label-0.5", "empty"],
+)
+def test_threshold_rejects_bad_input(scores, labels):
+    with pytest.raises(ValueError):
+        threshold_search(scores, labels)
+
+
+@pytest.mark.parametrize(
+    "scores, labels, best",
+    [
+        # The midpoint of two adjacent floats rounds onto the lower one.
+        ([1.0, float(np.nextafter(1.0, 2.0))], [0, 1], 1.0),
+        # One above all scores rounds onto the top score.
+        ([1e17, 2e17], [0, 0], 0.5),
+    ],
+    ids=["adjacent-floats", "top-plus-one-rounds"],
+)
+def test_threshold_accuracy_is_that_of_the_threshold(scores, labels, best):
+    t, acc = threshold_search(scores, labels)
+    assert acc == best
+    assert acc == np.mean((np.array(scores) >= t) == (np.array(labels) == 1))
 
 
 # --- F-test ----------------------------------------------------------------------------
