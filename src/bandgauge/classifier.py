@@ -280,19 +280,20 @@ def _conv_backward(dout, w, cache):
     return (_conv_input_grad(dout, w, cache), *_conv_param_grads(dout, cache))
 
 
-def _branch_forward(bp: BranchParams, x):
+def _branch_forward(bp: BranchParams, x, keep_caches=True):
+    """Features of one branch and, if kept, each layer's (cache, z, a) for
+    the backward pass; without them one layer's intermediates live at a time."""
     caches = []
     a = x
-    act_first = None
+    early = None
     for w, b in zip(bp.conv_w, bp.conv_b):
         z, cache = _conv_forward(a, w, b)
         a = np.maximum(z, 0.0)
-        caches.append((cache, z, a))
-        if act_first is None:
-            act_first = a
-    feat = np.concatenate(
-        [act_first.mean(axis=(2, 3)), a.mean(axis=(2, 3))], axis=1
-    )
+        if keep_caches:
+            caches.append((cache, z, a))
+        if early is None:
+            early = a.mean(axis=(2, 3))
+    feat = np.concatenate([early, a.mean(axis=(2, 3))], axis=1)
     return feat, caches
 
 
@@ -319,11 +320,11 @@ def _branch_backward(bp: BranchParams, caches, dfeat):
     return grads_w, grads_b
 
 
-def _net_forward(params: DualNetParams, h_batch, l_batch):
+def _net_forward(params: DualNetParams, h_batch, l_batch, keep_caches=True):
     xh = h_batch[:, None, :, :]
     xl = l_batch[:, None, :, :]
-    fh, cache_h = _branch_forward(params.branch_h, xh)
-    fl, cache_l = _branch_forward(params.branch_l, xl)
+    fh, cache_h = _branch_forward(params.branch_h, xh, keep_caches)
+    fl, cache_l = _branch_forward(params.branch_l, xl, keep_caches)
     feat = np.concatenate([fh, fl], axis=1)
     h1 = feat @ params.head_w1 + params.head_b1
     r = np.maximum(h1, 0.0)
@@ -359,7 +360,7 @@ def forward_batch(params: DualNetParams, h_batch, l_batch) -> np.ndarray:
     l_batch = _stack_maps(l_batch, params)
     step = max(1, _BLOCK_PIXELS // params.patch_size**2)
     logits = [
-        _net_forward(params, h_batch[s : s + step], l_batch[s : s + step])[0]
+        _net_forward(params, h_batch[s : s + step], l_batch[s : s + step], keep_caches=False)[0]
         for s in range(0, len(h_batch), step)
     ]
     return _sigmoid(np.concatenate(logits))
@@ -412,7 +413,7 @@ def bce_loss(params: DualNetParams, h_batch, l_batch, y) -> float:
     h_batch = _stack_maps(h_batch, params)
     l_batch = _stack_maps(l_batch, params)
     y = np.asarray(y, dtype=np.float64)
-    logit, _ = _net_forward(params, h_batch, l_batch)
+    logit, _ = _net_forward(params, h_batch, l_batch, keep_caches=False)
     zl = logit.astype(np.float64)
     return float(np.mean(np.logaddexp(0.0, zl) - y * zl))
 
@@ -508,7 +509,7 @@ def train(samples, cfg: TrainConfig, val_samples=None, report_path=None):
                 ).astype(tensors[i].dtype)
             cur = _rebuild(params, tensors)
             losses.append(loss)
-        val_logit, _ = _net_forward(cur, h_va, l_va)
+        val_logit, _ = _net_forward(cur, h_va, l_va, keep_caches=False)
         val_zl = val_logit.astype(np.float64)
         val_p = _sigmoid(val_zl)
         val_loss = float(np.mean(np.logaddexp(0.0, val_zl) - y_va * val_zl))

@@ -22,7 +22,7 @@ from .classifier import TrainConfig, TrainingDivergedError
 from .csvfile import read_keyed, write_rows
 from .freq import pws_lfm, sobel_hfm
 from .imgcore import ImageFormatError, load_image, save_image, to_luma
-from .pipeline import RunConfig, score_image
+from .pipeline import RunConfig, _in_order, score_image
 from .scoring import map_to_image, to_8bit
 
 EXIT_OK = 0
@@ -187,29 +187,28 @@ def _config_and_model(args, filecfg):
 
 def _cmd_score(args, filecfg) -> int:
     config, model = _config_and_model(args, filecfg)
+    # At most `threads` files in flight; several at once get one worker each,
+    # so that no more than `threads` workers are busy.
+    workers = min(config.threads, len(args.images))
+    if workers > 1:
+        config = dataclasses.replace(config, threads=1)
+
+    def row(path):
+        res = score_image(load_image(path), config, model)
+        return (path, f"{res.score.q:.10g}", res.banded_patch_count, res.bmap.total_patches)
+
     rows = []
     exit_code = EXIT_OK
-
-    def one(path):
-        img = load_image(path)
-        return score_image(img, config, model)
-
-    with concurrent.futures.ThreadPoolExecutor(max_workers=config.threads) as pool:
-        futures = [pool.submit(one, p) for p in args.images]
-        for path, fut in zip(args.images, futures):
+    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        for path, fut in zip(args.images, _in_order(pool, row, args.images, workers)):
             try:
-                res = fut.result()
+                rows.append(fut.result())
             except _NUMERIC_ERRORS as exc:
                 print(f"numerical failure: {path}: {exc}", file=sys.stderr)
                 exit_code = EXIT_NUMERIC
-                continue
             except _INPUT_ERRORS as exc:
                 print(f"input error: {path}: {exc}", file=sys.stderr)
                 exit_code = max(exit_code, EXIT_INPUT)
-                continue
-            rows.append(
-                (path, f"{res.score.q:.10g}", res.banded_patch_count, res.bmap.total_patches)
-            )
     write_rows(args.out, ("path", "q", "banded_patch_count", "total_patches"), rows)
     return exit_code
 

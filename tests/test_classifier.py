@@ -103,6 +103,19 @@ def test_batch_grouping_invariance(rng):
     assert np.abs(batched - singles).max() < 1e-6
 
 
+def test_inference_forward_is_the_training_forward(rng):
+    # forward_batch keeps no backward caches; its logits are the same bits.
+    from bandgauge.classifier import _net_forward
+
+    params = tiny_params(patch=32, seed=4)
+    h = rng.random((5, 32, 32)).astype(np.float32)
+    l = rng.random((5, 32, 32)).astype(np.float32)
+    kept, (_, _, _, cache_h, cache_l) = _net_forward(params, h, l)
+    lean, (_, _, _, no_h, no_l) = _net_forward(params, h, l, keep_caches=False)
+    assert len(cache_h) == len(cache_l) == len(params.widths) and no_h == no_l == []
+    assert kept.tobytes() == lean.tobytes()
+
+
 def test_batch_length_mismatch_rejected():
     params = tiny_params()
     with pytest.raises(ValueError, match="3 high-frequency maps but 2 low-frequency"):

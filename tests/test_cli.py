@@ -3,13 +3,15 @@
 import csv
 import json
 import math
+import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bandgauge.classifier import BaselineConfig, TrainConfig, init_params
+from bandgauge.classifier import BaselineConfig, TrainConfig, init_params, save_params
 from bandgauge.cli import (
     _SETTINGS,
     _build_parser,
@@ -193,6 +195,49 @@ def test_score_deterministic_bytes(tmp_path):
         outs.append(out.read_bytes())
     assert outs[0] == outs[1] == outs[2]
     assert len(outs[0].splitlines()) == 4
+
+    # The model path: 16 tiles of 128 in two forward blocks per file.  One
+    # file alone gets every worker; several share them one each.
+    model = tmp_path / "m.bgw"
+    save_params(init_params(128, (2, 3, 4), 8, seed=0), model)
+    paths = [str(write_ramp(tmp_path, d, size=512, name=f"big{d}.png")) for d in (3, 5)]
+
+    def score(images, threads):
+        out = tmp_path / "model.csv"
+        argv = ["score", *images, "--model", str(model), "--threads", threads]
+        assert main(argv + ["--out", str(out)]) == 0
+        return out.read_bytes().splitlines(keepends=True)
+
+    outs = []
+    for threads in ("1", "2", "3"):
+        together = score(paths, threads)
+        alone = [score([p], threads) for p in paths]
+        assert together == alone[0] + alone[1][1:]
+        outs.append(together)
+    assert outs[0] == outs[1] == outs[2]
+    assert len(outs[0]) == 3
+
+
+def test_score_memory_does_not_grow_with_the_file_count(tmp_path):
+    rng = np.random.default_rng(0)
+    first = tmp_path / "f00.png"
+    save_image(PlanarImage.from_array(rng.integers(0, 256, (720, 960, 3), dtype=np.uint8)), first)
+    paths = [str(first)]
+    for k in range(1, 12):
+        paths.append(str(shutil.copyfile(first, tmp_path / f"f{k:02d}.png")))
+
+    def peak(images):
+        tracemalloc.start()
+        try:
+            argv = ["score", *images, "--threads", "2", "--out", str(tmp_path / "s.csv")]
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # Keeping every file's result until the end peaked at 16.2 MiB for 2
+    # files and 68.7 MiB for 12.
+    assert peak(paths) < 1.5 * peak(paths[:2])
 
 
 def test_score_csv_quotes_a_path_with_a_comma(tmp_path):

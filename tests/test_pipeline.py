@@ -1,5 +1,10 @@
 """The block-streamed score_image against a per-tile oracle, and its memory."""
 
+import itertools
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -7,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bandgauge.classifier import forward_batch, init_params
+from bandgauge.classifier import _BLOCK_PIXELS, forward_batch, init_params, save_params
+from bandgauge.cli import main
 from bandgauge.freq import HighFreqMap, pws_lfm
-from bandgauge.imgcore import BLOCK_PIXELS, Label, PatchLabel, PlanarImage, tile
+from bandgauge.imgcore import BLOCK_PIXELS, Label, PatchLabel, PlanarImage, save_image, tile
 from bandgauge.pipeline import RunConfig, score_image
 from bandgauge.scoring import banding_map, pool_score
 from bandgauge.sfmask import SpatialFreqStats, mask_weights, sf_threshold
@@ -17,7 +23,8 @@ from conftest import luma_reference, sf_reference, sobel_reference
 
 
 def score_image_per_tile(img, config, model=None):
-    """score_image as one pass per tile over a whole-frame float64 luma."""
+    """score_image as one pass per tile over a whole-frame float64 luma;
+    (score, banding map, tile maps, the model's probabilities or None)."""
     n = config.patch_size
     luma = luma_reference(img).astype(np.float64)
     grid = tile(img, n)
@@ -29,6 +36,7 @@ def score_image_per_tile(img, config, model=None):
         hfms = [HighFreqMap(sobel_reference(t)) for t in tiles]
     cf, rf, sf = (np.array(v) for v in zip(*map(sf_reference, tiles)))
     stats = SpatialFreqStats(cf, rf, sf, sf_threshold(sf))
+    probs = None
     if model is not None:
         probs = forward_batch(model, hfms, [pws_lfm(t, config.pws) for t in tiles])
         banded, confidence = probs > 0.5, np.maximum(probs, 1.0 - probs)
@@ -40,7 +48,7 @@ def score_image_per_tile(img, config, model=None):
         for b, c in zip(banded, confidence)
     ]
     bm = banding_map(grid, labels, mask_weights(stats, n, config.gamma), hfms)
-    return pool_score(bm, config.p_percent), bm
+    return pool_score(bm, config.p_percent), bm, hfms, probs
 
 
 def mixed_frame(seed, w, h, n, nch=1):
@@ -60,32 +68,51 @@ def mixed_frame(seed, w, h, n, nch=1):
 
 def assert_same_as_per_tile(img, config, model=None):
     res = score_image(img, config, model)
-    score, bm = score_image_per_tile(img, config, model)
+    score, bm, hfms, probs = score_image_per_tile(img, config, model)
     assert res.score.q.hex() == score.q.hex()
     assert res.score.per_patch_scores == score.per_patch_scores
     assert [(m.label, m.weight) for m in res.bmap.patch_meta] == [
         (m.label, m.weight) for m in bm.patch_meta
     ]
     assert res.bmap.values.tobytes() == bm.values.tobytes()
-    return res
+    return res, hfms, probs
 
 
 # (width, height, N): a block of BLOCK_PIXELS // N^2 tiles is 6 of the 7
 # tiles of a row at N = 100 and 16 of 17 at N = 64 (partial grid rows); at
-# N = 16 one block takes the whole row.  Every size leaves remainders.
+# N = 16 one block takes the whole row.  A forward block of the model path
+# (_BLOCK_PIXELS // N^2 tiles) spans grid rows at N = 100 and N = 16.  Every
+# size leaves remainders.
 GRIDS = [(730, 210, 100), (1100, 70, 64), (203, 131, 16)]
 
 
 @pytest.mark.parametrize("w, h, n", GRIDS)
 @pytest.mark.parametrize("scope", ["patch", "image"])
-@pytest.mark.parametrize("with_model", [False, True], ids=["baseline", "model"])
-def test_streamed_score_is_the_per_tile_score(w, h, n, scope, with_model):
+@pytest.mark.parametrize(
+    "with_model, threads", [(False, 1), (True, 1), (True, 3)], ids=["baseline", "model", "model3"]
+)
+def test_streamed_score_is_the_per_tile_score(w, h, n, scope, with_model, threads, monkeypatch):
     assert BLOCK_PIXELS // (n * n) < w // n or n == 16
     model = init_params(n, (2, 3, 4), 8, seed=7) if with_model else None
     img = mixed_frame(w * h, w, h, n, nch=3 if w > 1000 else 1)
-    res = assert_same_as_per_tile(img, RunConfig(patch_size=n, hfm_scope=scope), model)
+    config = RunConfig(patch_size=n, hfm_scope=scope, threads=threads)
+    calls = {}  # the probabilities of each forward_batch call, by its input maps
+
+    def recording(params, h_batch, l_batch):
+        calls[np.asarray(h_batch).tobytes()] = probs = forward_batch(params, h_batch, l_batch)
+        return probs
+
+    monkeypatch.setattr("bandgauge.pipeline.forward_batch", recording)
+    res, hfms, probs = assert_same_as_per_tile(img, config, model)
     if not with_model:
         assert 0 < res.banded_patch_count < res.bmap.total_patches
+        return
+    # The streamed calls hold the probabilities of one call over all tiles.
+    step = _BLOCK_PIXELS // (n * n)
+    starts = range(0, len(hfms), step)
+    assert len(calls) == len(starts)
+    streamed = [calls[np.stack([m.values for m in hfms[s : s + step]]).tobytes()] for s in starts]
+    assert np.concatenate(streamed).tobytes() == probs.tobytes()
 
 
 @settings(max_examples=30, deadline=None)
@@ -104,11 +131,7 @@ def test_streamed_baseline_score_is_the_per_tile_score(n, cols, rows, extra, see
     assert_same_as_per_tile(img, RunConfig(patch_size=n, hfm_scope=scope))
 
 
-@pytest.mark.parametrize("content", ["noise", "banded"])
-def test_score_image_memory_on_a_1080p_rgb_frame(content):
-    # The full-frame float64 banding map is 15.8 MiB.  A frame whose every
-    # tile is banded also keeps those tiles' gradient maps (13.5 MiB at
-    # N = 235) until the map is built; luma and blocks must not add more.
+def rgb_1080p(content):
     rng = np.random.default_rng(3)
     if content == "noise":
         arr = rng.integers(0, 256, (1080, 1920, 3), dtype=np.uint8)
@@ -116,12 +139,90 @@ def test_score_image_memory_on_a_1080p_rgb_frame(content):
         ramp = np.add.outer(np.arange(1080) * 0.3, np.arange(1920) * 0.7)
         ramp = np.floor(ramp / ramp.max() * 15 + 0.5) * 17 + rng.integers(-1, 2, ramp.shape)
         arr = np.clip(np.stack([ramp] * 3, axis=-1), 0, 255).astype(np.uint8)
-    img = PlanarImage.from_array(arr)
+    return PlanarImage.from_array(arr)
+
+
+def traced_peak(fn):
+    """(fn(), the tracemalloc peak in bytes while it ran)."""
     tracemalloc.start()
     try:
-        res = score_image(img, RunConfig())
+        out = fn()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return out, peak
+
+
+@pytest.mark.parametrize("content", ["noise", "banded"])
+def test_score_image_memory_on_a_1080p_rgb_frame(content):
+    # The full-frame float64 banding map is 15.8 MiB.  A frame whose every
+    # tile is banded also keeps those tiles' gradient maps (13.5 MiB at
+    # N = 235) until the map is built; luma and blocks must not add more.
+    img = rgb_1080p(content)
+    res, peak = traced_peak(lambda: score_image(img, RunConfig()))
     assert res.banded_patch_count == (0 if content == "noise" else res.bmap.total_patches)
     assert peak < 32 << 20
+
+
+def test_model_score_memory_on_a_1080p_rgb_frame():
+    # Every tile is banded, so 13.5 MiB of gradient maps are kept as on the
+    # baseline path.  On top, two workers each run one forward block of two
+    # tiles (Sobel, about 6.6 MiB of solver scratch per tile, the CNN) and at
+    # most four blocks are in flight.  Scoring every tile before classifying
+    # any, as one forward_batch call over the grid needs, peaked at 62.5 MiB.
+    img = rgb_1080p("banded")
+    model = init_params(235, seed=1)
+    res, peak = traced_peak(lambda: score_image(img, RunConfig(threads=2), model))
+    assert res.banded_patch_count == res.bmap.total_patches
+    assert peak < 44 << 20
+
+
+def test_more_workers_than_cores_with_fast_switching():
+    # Workers share only read-only inputs; the results must come back in
+    # order whatever the interleaving.
+    n = 128  # 4 forward blocks of 8 tiles
+    img = mixed_frame(5, 8 * n, 4 * n, n)
+    model = init_params(n, (2, 3, 4), 8, seed=3)
+    serial = score_image(img, RunConfig(patch_size=n, threads=1), model)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = score_image(img, RunConfig(patch_size=n, threads=8), model)
+    finally:
+        sys.setswitchinterval(interval)
+    assert pooled.bmap.patch_meta == serial.bmap.patch_meta
+    assert pooled.bmap.values.tobytes() == serial.bmap.values.tobytes()
+
+
+def test_a_failing_tile_stops_the_pool(tmp_path, monkeypatch, capsys):
+    n = 128  # forward blocks of 8 tiles; 32 tiles in 4 blocks
+    img = mixed_frame(11, 8 * n, 4 * n, n)
+    tiles_seen = itertools.count(1)
+
+    def failing(t, cfg):
+        if next(tiles_seen) == 5:
+            raise FloatingPointError("overflow in tile 5")
+        return pws_lfm(t, cfg)
+
+    monkeypatch.setattr("bandgauge.pipeline.pws_lfm", failing)
+    model = init_params(n, (2, 3, 4), 8, seed=7)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError):
+        score_image(img, RunConfig(patch_size=n, threads=2), model)
+    assert threading.active_count() == before
+
+    save_params(model, tmp_path / "m.bgw")
+    save_image(img, tmp_path / "f.png")
+    tiles_seen = itertools.count(1)
+    argv = ["score", str(tmp_path / "f.png"), "--model", str(tmp_path / "m.bgw"), "--threads", "2"]
+    assert main(argv + ["--out", str(tmp_path / "s.csv")]) == 2
+    assert "numerical failure" in capsys.readouterr().err
+    assert threading.active_count() == before
+
+
+def test_import_leaves_the_thread_pool_unloaded():
+    # concurrent.futures costs a few ms of start-up; only the model path uses it.
+    code = "import sys, bandgauge; print('concurrent.futures' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.stdout.strip() == "False", out.stderr
