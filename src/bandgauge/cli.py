@@ -3,7 +3,7 @@
 Subcommands: score, detect, gen, train, eval, mos.  Option precedence is
 flags > JSON config file > the defaults of the config dataclasses (of
 datagen.make_dataset for gen), whose field names are the config keys.  Exit
-codes: 0 success, 1 input error, 2 numerical failure.
+codes: 0 success, 1 input error (a bad flag included), 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -20,10 +20,9 @@ import numpy as np
 from . import classifier, datagen, evalharness, subjective
 from .classifier import TrainConfig, TrainingDivergedError
 from .csvfile import read_keyed, write_rows
-from .freq import pws_lfm, sobel_hfm
-from .imgcore import ImageFormatError, load_image, save_image, to_luma
+from .imgcore import ImageFormatError, load_image, save_image
 from .pipeline import RunConfig, _in_order, score_image
-from .scoring import map_to_image, to_8bit
+from .scoring import map_to_image
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -54,7 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--patch-size", type=int)
     sc.add_argument("--p-percent", type=float)
     sc.add_argument("--gamma", type=float)
-    sc.add_argument("--hfm-scope", dest="hfm_scope", help="patch or image")
     sc.add_argument("--threads", type=int)
     sc.add_argument("--out", help="CSV report path (default stdout)")
 
@@ -65,11 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
     dt.add_argument("--gamma", type=float)
     dt.add_argument("--out", required=True, help="map image path (.png/.pgm)")
     dt.add_argument("--raw", help="also dump raw float map (.npy)")
-    dt.add_argument(
-        "--dump-freq",
-        dest="dump_freq",
-        help="debug: write <prefix>.hfm.pgm and <prefix>.lfm.pgm of the luma",
-    )
 
     gn = sub.add_parser("gen", help="generate a labeled synthetic dataset")
     gn.add_argument("--n", type=int, required=True, help="number of images")
@@ -90,10 +83,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ev = sub.add_parser("eval", help="evaluate scores against MOS or labels")
     ev.add_argument("--scores", required=True, help="CSV with image_id,score columns")
-    ev.add_argument("--mos", help="CSV with image_id,mos columns (correlation task)")
-    ev.add_argument(
+    target = ev.add_mutually_exclusive_group(required=True)
+    target.add_argument(
+        "--mos", help="CSV with image_id,mos columns (correlation task; or --labels)"
+    )
+    target.add_argument(
         "--labels",
-        help="CSV with image_id,label columns (classification); the reported threshold "
+        help="CSV with image_id,label columns (classification; or --mos); the reported threshold "
         "is the smallest of: one below all scores, the midpoints between adjacent "
         "distinct scores, one above all scores, at which score >= threshold is most "
         "accurate",
@@ -101,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--out", help="metric report CSV (default stdout)")
     ev.add_argument(
         "--curves",
-        help="classification task: write <prefix>.roc.csv and <prefix>.pr.csv",
+        help="classification task (needs --labels): write <prefix>.roc.csv and <prefix>.pr.csv",
     )
 
     mo = sub.add_parser("mos", help="screen ratings and aggregate MOS")
@@ -215,15 +211,10 @@ def _cmd_score(args, filecfg) -> int:
 
 def _cmd_detect(args, filecfg) -> int:
     config, model = _config_and_model(args, filecfg)
-    img = load_image(args.image)
-    res = score_image(img, config, model)
+    res = score_image(load_image(args.image), config, model)
     save_image(map_to_image(res.bmap), args.out)
     if args.raw:
         np.save(args.raw, res.bmap.values)
-    if args.dump_freq:
-        luma = to_luma(img).planes[0].astype("float64")
-        save_image(to_8bit(sobel_hfm(luma).values), f"{args.dump_freq}.hfm.pgm")
-        save_image(to_8bit(pws_lfm(luma, config.pws).values), f"{args.dump_freq}.lfm.pgm")
     print(f"{args.image}: q={res.score.q:.10g} map={args.out}")
     return EXIT_OK
 
@@ -262,6 +253,8 @@ def _label(text) -> int:
 
 
 def _cmd_eval(args, filecfg) -> int:
+    if args.curves and not args.labels:
+        raise ValueError("--curves needs --labels: curves belong to the classification task")
     scores = read_keyed(args.scores, ("score", "q"))
     rows = []
     if args.mos:
@@ -277,7 +270,7 @@ def _cmd_eval(args, filecfg) -> int:
         rows.append(("plcc", plcc))
         rows.append(("rmse", rmse))
         rows.append(("n", float(len(ids))))
-    elif args.labels:
+    else:
         target = read_keyed(args.labels, ("label",), _label)
         ids = sorted(set(scores) & set(target))
         if len(ids) < 4:
@@ -299,8 +292,6 @@ def _cmd_eval(args, filecfg) -> int:
             fmt = lambda points: [(f"{a:.10g}", f"{b:.10g}") for a, b in points]  # noqa: E731
             write_rows(f"{args.curves}.roc.csv", ("fpr", "tpr"), fmt(rp.roc_points))
             write_rows(f"{args.curves}.pr.csv", ("recall", "precision"), fmt(rp.pr_points))
-    else:
-        raise ValueError("eval needs --mos or --labels")
     if args.out:
         write_rows(args.out, ("metric", "value"), [(k, f"{v:.10g}") for k, v in rows])
     width = max(len(k) for k, _ in rows)
@@ -329,8 +320,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
+        return EXIT_OK if exc.code == EXIT_OK else EXIT_INPUT
     try:
         filecfg = _load_config_file(args.config)
         return _COMMANDS[args.command](args, filecfg)

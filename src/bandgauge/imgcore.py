@@ -151,20 +151,28 @@ class PatchGrid:
         n = self.patch_size
         return arr[y : y + n, x : x + n]
 
-    def blocks(self, plane: np.ndarray):
-        """Yield (index of the first patch, float64 (B, n, n) copy) per block.
+    def blocks(self, plane: np.ndarray, size: int):
+        """Yield (index of the first patch, float64 (B, n, n) copy) per run
+        of ``size`` consecutive patches in raster order.
 
-        Blocks follow raster order and never span two grid rows; each is cut
-        from one row's (n, cols, n) view, so the plane is never copied whole.
-        B = max(1, min(cols, BLOCK_PIXELS // n^2)) keeps a block in cache.
+        A run may cross grid rows, and only the last one may be shorter.
+        It is copied one grid-row segment at a time out of the plane's
+        (rows, n, cols, n) view, so the plane is never copied whole.
         """
+        if size < 1:
+            raise ValueError(f"block size must be at least 1, got {size}")
         n, cols = self.patch_size, self.cols
-        step = max(1, min(cols, BLOCK_PIXELS // (n * n)))
-        for r in range(self.rows):
-            row = plane[r * n : (r + 1) * n, : cols * n].reshape(n, cols, n)
-            for c in range(0, cols, step):
-                block = row[:, c : c + step].transpose(1, 0, 2)
-                yield r * cols + c, block.astype(np.float64, order="C")
+        view = plane[: self.rows * n, : cols * n].reshape(self.rows, n, cols, n)
+        for start in range(0, len(self), size):
+            stop = min(start + size, len(self))
+            out = np.empty((stop - start, n, n))
+            k = start
+            while k < stop:
+                r, c = divmod(k, cols)
+                end = min(stop, (r + 1) * cols)
+                out[k - start : end - start] = view[r, :, c : c + end - k].transpose(1, 0, 2)
+                k = end
+            yield start, out
 
 
 def tile(img: PlanarImage, n: int) -> PatchGrid:
@@ -183,9 +191,9 @@ def tile(img: PlanarImage, n: int) -> PatchGrid:
 _LUMA_R, _LUMA_G, _LUMA_B = 0.299, 0.587, 0.114
 
 # Pixels per block of the streamed per-pixel and per-tile stages (to_luma,
-# PatchGrid.blocks).  The work is memory-bound: a block this size keeps its
-# float64 temporaries in a 2 MB L2, and both 2**17 and whole frames measure
-# slower.
+# and the PatchGrid.blocks runs of grid_stats and the baseline rule).  The
+# work is memory-bound: a block this size keeps its float64 temporaries in a
+# 2 MB L2, and both 2**17 and whole frames measure slower.
 BLOCK_PIXELS = 2**16
 
 

@@ -3,18 +3,20 @@
 The classifier backend is either a trained dual-branch model or the
 handcrafted baseline rule; in both cases the per-pixel banding map and the
 pooled severity score come out of the same masking and pooling path.
-The per-tile stages run over blocks of tiles cut from the float32 luma
-plane, so no whole-frame float64 copy of it is made.  The baseline rule runs
-serially over ``PatchGrid.blocks``.  The model path cuts the grid into
-forward blocks: runs of ``classifier._BLOCK_PIXELS // N^2`` consecutive
-tiles in raster order (a run may span grid rows), which is the grouping that
-``forward_batch`` gives the whole grid.  Each forward block is one task on a
-pool of ``RunConfig.threads`` workers (by default, the usable CPUs): its
-Sobel map, ``pws_lfm`` per tile, then ``forward_batch``.  At most
-2 x threads blocks are in flight.  Their results are consumed in order, and
-only the probabilities and the banded tiles' maps are kept, so neither the
-output nor the memory held grows with the thread count beyond about 9 MB of
-scratch (mostly the solver's) per extra worker at N = 235.
+Every tile gets its own maps.  One per-block function takes a run of
+consecutive tiles in raster order to its Sobel map and one probability per
+tile; the baseline rule's verdict is 0.0 or 1.0.  ``PatchGrid.blocks`` copies
+each run out of the float32 luma plane (a run may cross grid rows), so no
+whole-frame float64 copy of it is made.  The baseline rule runs on the
+calling thread over runs of ``imgcore.BLOCK_PIXELS // N^2`` tiles.  A model
+runs over forward blocks of ``classifier._BLOCK_PIXELS // N^2`` tiles, the
+grouping that ``forward_batch`` gives the whole grid; each block, with its
+``pws_lfm`` per tile and its ``forward_batch``, is one task on a pool of
+``RunConfig.threads`` workers (by default, the usable CPUs).  At most
+2 x threads blocks are in flight and their results are consumed in order,
+keeping only the probabilities and the banded tiles' maps, so the memory
+held grows by about 9 MB of scratch (mostly the solver's) per extra worker
+at N = 235.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 from .checks import check
 from .classifier import _BLOCK_PIXELS, BaselineConfig, DualNetParams, forward_batch
 from .freq import HighFreqMap, PwsConfig, pws_lfm, sobel_hfm
-from .imgcore import Label, PatchLabel, PlanarImage, tile, to_luma
+from .imgcore import BLOCK_PIXELS, Label, PatchLabel, PlanarImage, tile, to_luma
 from .scoring import BandingMap, QualityScore, banding_map, pool_score
 from .sfmask import grid_stats, mask_weights
 from .sfmask import spatial_frequency  # noqa: F401 - wrapped by name in perfbench/tracer.py
@@ -45,9 +47,8 @@ def _usable_cpus() -> int:
 class RunConfig:
     """Pipeline knobs; defaults follow the reference settings.
 
-    hfm_scope "patch" computes gradient maps per tile (each tile sees
-    replicated borders); "image" filters the whole frame once and slices,
-    so contours on tile boundaries stay visible.
+    Gradient and low-frequency maps are always computed per tile, each tile
+    seeing replicated borders, as datagen makes the training maps.
 
     threads is the number of workers that score a model's forward blocks
     (Sobel, solver and CNN); it defaults to the usable CPUs.  Each extra
@@ -58,7 +59,6 @@ class RunConfig:
     patch_size: int = 235
     p_percent: float = 80.0
     gamma: float = 1.5
-    hfm_scope: str = "patch"
     pws: PwsConfig = field(default_factory=PwsConfig)
     baseline: BaselineConfig = field(default_factory=BaselineConfig)
     threads: int = field(default_factory=_usable_cpus)
@@ -68,8 +68,6 @@ class RunConfig:
         check("p_percent", self.p_percent, gt=0, le=100)
         check("gamma", self.gamma, gt=0)
         check("threads", self.threads, int, ge=1)
-        if self.hfm_scope not in ("patch", "image"):
-            raise ValueError(f"hfm_scope must be patch or image, got {self.hfm_scope!r}")
 
 
 @dataclass(frozen=True)
@@ -108,53 +106,43 @@ def score_image(
 
 
 def _classify(luma, grid, stats, config: RunConfig, model):
-    """(banded, confidence, hfms) per tile, streamed over blocks of tiles.
+    """(banded, confidence, hfms) per tile, streamed over runs of tiles.
 
     Only the maps of banded tiles are kept, since banding_map reads no other.
     """
-    whole = sobel_hfm(luma).values if config.hfm_scope == "image" else None
-    hfms = [None] * len(grid)
+
+    def score_block(item):
+        """(start, Sobel maps, probabilities) of one run of tiles."""
+        start, block = item
+        hv = sobel_hfm(block).values
+        if model is None:
+            sf = stats.sf[start : start + len(block)]
+            return start, hv, config.baseline.banded(hv.mean(axis=(-2, -1)), sf).astype(float)
+        return start, hv, forward_batch(model, hv, [pws_lfm(t, config.pws) for t in block])
+
+    pixels = BLOCK_PIXELS if model is None else _BLOCK_PIXELS
+    blocks = grid.blocks(luma, max(1, pixels // grid.patch_size**2))
+    pool = None
     if model is None:
-        banded = np.zeros(len(grid), dtype=bool)
-        whole_blocks = None if whole is None else grid.blocks(whole)
-        for start, block in grid.blocks(luma):
-            hv = sobel_hfm(block).values if whole is None else next(whole_blocks)[1]
-            span = slice(start, start + len(block))
-            banded[span] = config.baseline.banded(hv.mean(axis=(-2, -1)), stats.sf[span])
-            for j in np.flatnonzero(banded[span]):
-                hfms[start + j] = HighFreqMap(hv[j])
-        return banded, np.ones(len(grid)), hfms
+        # On the calling thread: on a pool, the baseline's peak RSS on 1080p
+        # frames rose from 73 to 84-88 MB.
+        results = map(score_block, blocks)
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # loaded only when a model scores
 
-    from concurrent.futures import ThreadPoolExecutor  # loaded only when a model scores
-
-    step = max(1, _BLOCK_PIXELS // grid.patch_size**2)
-
-    def forward_block(start):
-        block = _tiles(luma, grid, start, start + step)
-        hv = sobel_hfm(block).values if whole is None else _tiles(whole, grid, start, start + step)
-        return hv, forward_batch(model, hv, [pws_lfm(t, config.pws) for t in block])
-
+        pool = ThreadPoolExecutor(config.threads)
+        results = (f.result() for f in _in_order(pool, score_block, blocks, 2 * config.threads))
     probs = np.empty(len(grid))
-    starts = range(0, len(grid), step)
-    pool = ThreadPoolExecutor(config.threads)
+    hfms = [None] * len(grid)
     try:
-        for start, fut in zip(starts, _in_order(pool, forward_block, starts, 2 * config.threads)):
-            hv, p = fut.result()
+        for start, hv, p in results:
             probs[start : start + len(p)] = p
             for j in np.flatnonzero(p > 0.5):
                 hfms[start + j] = HighFreqMap(hv[j])
     finally:
-        pool.shutdown(cancel_futures=True)
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     return probs > 0.5, np.maximum(probs, 1.0 - probs), hfms
-
-
-def _tiles(plane, grid, start, stop) -> np.ndarray:
-    """float64 (B, n, n) copy of tiles start..stop-1 (clipped to the grid)."""
-    ks = range(start, min(stop, len(grid)))
-    out = np.empty((len(ks), grid.patch_size, grid.patch_size))
-    for i, k in enumerate(ks):
-        out[i] = grid.extract(plane, k)
-    return out
 
 
 def _in_order(pool, fn, items, window: int):

@@ -124,12 +124,9 @@ def pool_score(bm: BandingMap, p_percent: float = 80.0) -> QualityScore:
 
 
 def map_to_image(bm: BandingMap) -> PlanarImage:
-    """Min-max normalized 8-bit rendering for visual inspection."""
-    return to_8bit(bm.values)
-
-
-def to_8bit(values: np.ndarray) -> PlanarImage:
-    """Min-max normalize a field to 0..255; a constant field renders as zeros."""
+    """Min-max normalized 8-bit rendering for visual inspection; a constant
+    map renders as zeros."""
+    values = bm.values
     vmin, vmax = float(values.min()), float(values.max())
     if vmax > vmin:
         out = np.rint((values - vmin) / (vmax - vmin) * 255.0).astype(np.uint8)

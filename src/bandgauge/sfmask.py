@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imgcore import PatchGrid
+from .imgcore import BLOCK_PIXELS, PatchGrid
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,8 @@ def mask_weight(sf: float, epsilon: float, n: int, gamma: float = 1.5) -> float:
 
 def grid_stats(luma: np.ndarray, grid: PatchGrid) -> SpatialFreqStats:
     """Spatial-frequency statistics for every patch of a tiled luma plane."""
-    stats = [spatial_frequency(block) for _, block in grid.blocks(luma)]
+    size = max(1, BLOCK_PIXELS // grid.patch_size**2)
+    stats = [spatial_frequency(block) for _, block in grid.blocks(luma, size)]
     cfs, rfs, sfs = (np.concatenate(v) for v in zip(*stats))
     return SpatialFreqStats(cfs, rfs, sfs, sf_threshold(sfs))
 

@@ -1,8 +1,11 @@
 """Pipeline assembly and the command-line surface."""
 
 import csv
+import dataclasses
 import json
 import math
+import pathlib
+import re
 import shutil
 import tracemalloc
 
@@ -13,6 +16,7 @@ from hypothesis import strategies as st
 
 from bandgauge.classifier import BaselineConfig, TrainConfig, init_params, save_params
 from bandgauge.cli import (
+    _SECTIONS,
     _SETTINGS,
     _build_parser,
     _load_config_file,
@@ -25,6 +29,8 @@ from bandgauge.imgcore import PlanarImage, load_image, save_image
 from bandgauge.pipeline import RunConfig, score_image
 from bandgauge.subjective import OutlierConfig
 from conftest import gray_image
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def write_ramp(tmp_path, depth, size=256, name=None):
@@ -69,19 +75,6 @@ def test_model_patch_size_mismatch_rejected():
         score_image(img, RunConfig(patch_size=64), model)
 
 
-def test_image_scope_sees_tile_boundary_contours():
-    # Plateau boundaries aligned exactly with the tile grid are invisible to
-    # per-patch filtering (edge replication) but visible in image scope.
-    arr = np.tile(np.arange(256, dtype=np.uint8)[:, None], (1, 256))
-    img = quantize_bitdepth(PlanarImage.from_array(arr), 2)
-    q_patch = score_image(img, RunConfig(patch_size=64)).score.q
-    q_image = score_image(img, RunConfig(patch_size=64, hfm_scope="image")).score.q
-    assert q_patch == 0.0
-    assert q_image > 0.0
-    with pytest.raises(ValueError):
-        RunConfig(hfm_scope="everywhere")
-
-
 @pytest.mark.parametrize(
     "cls, bad, field",
     [
@@ -91,7 +84,7 @@ def test_image_scope_sees_tile_boundary_contours():
         (RunConfig, {"p_percent": 0}, "p_percent"),
         (RunConfig, {"patch_size": 7}, "patch_size"),
         (RunConfig, {"patch_size": 64.0}, "patch_size"),
-        (RunConfig, {"hfm_scope": "x"}, "hfm_scope"),
+        (RunConfig, {"threads": 2.5}, "threads"),
         (RunConfig, {"threads": 0}, "threads"),
         (BaselineConfig, {"grad_floor": float("nan")}, "grad_floor"),
         (TrainConfig, {"epochs": "3"}, "epochs"),
@@ -439,6 +432,58 @@ def test_one_config_file_serves_score_and_train(tmp_path):
     assert TrainConfig(**_settings(train, filecfg)) == TrainConfig(patch_size=32, epochs=3)
 
 
+def test_readme_lists_exactly_the_config_keys():
+    # Each bullet of the README's "Config file keys" list names commands
+    # before its "):" and their keys after it, nested section fields included.
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    bullets = re.split(r"^- ", text.split("Config file keys", 1)[1].split("\n\n")[1], flags=re.M)
+    documented = {}
+    for bullet in bullets[1:]:
+        head, keys = bullet.split("):", 1)
+        for command in re.findall(r"`(\w+)`", head.split("(")[0]):
+            documented[command] = set(re.findall(r"`([a-z_]+)`", keys))
+    accepted = {
+        command: set(names).union(
+            *(
+                (f.name for f in dataclasses.fields(_SECTIONS[name]))
+                for name in names
+                if name in _SECTIONS
+            )
+        )
+        for command, (_, names) in _SETTINGS.items()
+    }
+    assert documented == accepted
+
+
+def test_removed_hfm_scope_is_an_unknown_key(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"hfm_scope": "patch"}))
+    argv = ["score", str(tmp_path / "absent.png"), "--out", str(tmp_path / "s.csv")]
+    assert main(["--config", str(cfg)] + argv) == 1
+    assert f"{cfg}: unknown config key hfm_scope" in capsys.readouterr().err
+    assert main(argv + ["--hfm-scope", "patch"]) == 1
+    assert "unrecognized arguments: --hfm-scope" in capsys.readouterr().err
+
+
+# --- usage errors -----------------------------------------------------------------
+
+
+def test_bad_int_flag_exits_1(tmp_path, capsys):
+    p = write_ramp(tmp_path, 4)
+    assert main(["score", str(p), "--patch-size", "abc"]) == 1
+    assert "--patch-size: invalid int value: 'abc'" in capsys.readouterr().err
+
+
+def test_missing_positional_argument_exits_1(capsys):
+    assert main(["score"]) == 1
+    assert "the following arguments are required: images" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    assert main(["score", "--help"]) == 0
+    assert "--patch-size" in capsys.readouterr().out
+
+
 # --- detect command ----------------------------------------------------------------
 
 
@@ -462,24 +507,6 @@ def test_detect_map_dimensions(tmp_path, size):
     assert main(["detect", str(img_path), "--patch-size", "32", "--out", str(out)]) == 0
     m = load_image(out)
     assert (m.width, m.height) == (w, h)
-
-
-def test_detect_dump_freq(tmp_path):
-    p = write_ramp(tmp_path, 4, size=128)
-    out = tmp_path / "m.png"
-    prefix = tmp_path / "dbg"
-    rc = main(
-        [
-            "detect", str(p), "--patch-size", "64", "--out", str(out),
-            "--dump-freq", str(prefix),
-        ]
-    )
-    assert rc == 0
-    hfm = load_image(f"{prefix}.hfm.pgm")
-    lfm = load_image(f"{prefix}.lfm.pgm")
-    assert (hfm.width, hfm.height) == (128, 128)
-    assert (lfm.width, lfm.height) == (128, 128)
-    assert int(hfm.planes[0].max()) == 255  # normalized dump
 
 
 def test_detect_mass_concentrates_in_banded_region(tmp_path):
@@ -613,10 +640,27 @@ def test_train_bad_manifest_exit_code(tmp_path):
     assert rc == 1
 
 
-def test_eval_requires_target(tmp_path):
+def test_eval_requires_target(tmp_path, capsys):
     pred = tmp_path / "pred.csv"
     pred.write_text("image_id,score\na,1\nb,2\nc,3\nd,4\ne,5\nf,6\n")
     assert main(["eval", "--scores", str(pred)]) == 1
+    assert "one of the arguments --mos --labels is required" in capsys.readouterr().err
+
+
+def test_eval_takes_one_target(tmp_path, capsys):
+    files = [str(tmp_path / name) for name in ("s.csv", "m.csv", "l.csv")]
+    assert main(["eval", "--scores", files[0], "--mos", files[1], "--labels", files[2]]) == 1
+    assert "argument --labels: not allowed with argument --mos" in capsys.readouterr().err
+
+
+def test_eval_curves_need_labels(tmp_path, capsys):
+    pred, mos = tmp_path / "pred.csv", tmp_path / "mos.csv"
+    pred.write_text("image_id,score\n" + "".join(f"i{i},{i}\n" for i in range(8)))
+    mos.write_text("image_id,mos\n" + "".join(f"i{i},{i}\n" for i in range(8)))
+    curves = tmp_path / "c"
+    assert main(["eval", "--scores", str(pred), "--mos", str(mos), "--curves", str(curves)]) == 1
+    assert "--curves needs --labels" in capsys.readouterr().err
+    assert set(tmp_path.iterdir()) == {pred, mos}  # no curve file
 
 
 @pytest.mark.parametrize("which", ["scores", "mos", "labels"])

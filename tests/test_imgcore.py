@@ -463,18 +463,37 @@ def test_tile_disjoint_in_bounds_random_sizes(rng):
         assert len(grid) == (w // n) * (h // n)
 
 
-def test_blocks_stream_the_grid_in_raster_order(rng):
-    for w, h, n in ((1920, 1080, 64), (1920, 1080, 235), (700, 300, 100), (50, 41, 8), (9, 9, 8)):
-        plane = rng.random((h, w)).astype(np.float32)
-        grid = tile(PlanarImage.from_array(plane), n)
-        step = max(1, min(grid.cols, BLOCK_PIXELS // (n * n)))
-        k = 0
-        for start, block in grid.blocks(plane):
-            assert start == k
-            assert block.dtype == np.float64 and block.flags.c_contiguous
-            # A block never runs past the end of its grid row.
-            assert len(block) == min(step, grid.cols - start % grid.cols)
-            for tile_values in block:
-                assert np.array_equal(tile_values, grid.extract(plane, k))
-                k += 1
-        assert k == len(grid)
+@st.composite
+def grids_and_block_sizes(draw):
+    """(plane, grid, size): grids with remainders, 1 x k and k x 1 included,
+    and block sizes from 1 to one past the patch count."""
+    n = draw(st.integers(8, 20))
+    cols, rows = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    w = cols * n + draw(st.integers(0, n - 1))
+    h = rows * n + draw(st.integers(0, n - 1))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    plane = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random((h, w)).astype(dtype)
+    grid = tile(PlanarImage.from_array(plane), n)
+    return plane, grid, draw(st.integers(1, len(grid) + 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(grids_and_block_sizes())
+def test_blocks_stream_the_grid_in_raster_order(case):
+    plane, grid, size = case
+    k = 0
+    for start, block in grid.blocks(plane, size):
+        assert start == k
+        assert block.dtype == np.float64 and block.flags.c_contiguous
+        # Runs of `size` tiles may cross grid rows; only the last is shorter.
+        assert len(block) == min(size, len(grid) - start)
+        for tile_values in block:
+            assert np.array_equal(tile_values, grid.extract(plane, k))
+            k += 1
+    assert k == len(grid)
+
+
+def test_blocks_reject_an_empty_run():
+    plane = np.zeros((16, 16), np.float32)
+    with pytest.raises(ValueError, match="block size"):
+        next(tile(PlanarImage.from_array(plane), 8).blocks(plane, 0))

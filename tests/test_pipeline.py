@@ -29,11 +29,7 @@ def score_image_per_tile(img, config, model=None):
     luma = luma_reference(img).astype(np.float64)
     grid = tile(img, n)
     tiles = [grid.extract(luma, k) for k in range(len(grid))]
-    if config.hfm_scope == "image":
-        whole = sobel_reference(luma)
-        hfms = [HighFreqMap(grid.extract(whole, k).copy()) for k in range(len(grid))]
-    else:
-        hfms = [HighFreqMap(sobel_reference(t)) for t in tiles]
+    hfms = [HighFreqMap(sobel_reference(t)) for t in tiles]
     cf, rf, sf = (np.array(v) for v in zip(*map(sf_reference, tiles)))
     stats = SpatialFreqStats(cf, rf, sf, sf_threshold(sf))
     probs = None
@@ -78,24 +74,24 @@ def assert_same_as_per_tile(img, config, model=None):
     return res, hfms, probs
 
 
-# (width, height, N): a block of BLOCK_PIXELS // N^2 tiles is 6 of the 7
-# tiles of a row at N = 100 and 16 of 17 at N = 64 (partial grid rows); at
-# N = 16 one block takes the whole row.  A forward block of the model path
-# (_BLOCK_PIXELS // N^2 tiles) spans grid rows at N = 100 and N = 16.  Every
-# size leaves remainders.
+# (width, height, N): a baseline run of BLOCK_PIXELS // N^2 tiles holds 6
+# tiles at N = 100, where a grid row holds 7, so runs cross grid rows; at
+# N = 64 it holds 16 of the one row's 17, and at N = 16 one run takes the
+# whole 12 x 8 grid.  A forward block of the model path (_BLOCK_PIXELS // N^2
+# tiles) spans grid rows at N = 100 and N = 16.  Every size leaves remainders.
+# Each tile gets its own (per-patch) maps.
 GRIDS = [(730, 210, 100), (1100, 70, 64), (203, 131, 16)]
 
 
-@pytest.mark.parametrize("w, h, n", GRIDS)
-@pytest.mark.parametrize("scope", ["patch", "image"])
+@pytest.mark.parametrize("w, h, n", GRIDS, ids=[f"patch-{w}-{h}-{n}" for w, h, n in GRIDS])
 @pytest.mark.parametrize(
     "with_model, threads", [(False, 1), (True, 1), (True, 3)], ids=["baseline", "model", "model3"]
 )
-def test_streamed_score_is_the_per_tile_score(w, h, n, scope, with_model, threads, monkeypatch):
+def test_streamed_score_is_the_per_tile_score(w, h, n, with_model, threads, monkeypatch):
     assert BLOCK_PIXELS // (n * n) < w // n or n == 16
     model = init_params(n, (2, 3, 4), 8, seed=7) if with_model else None
     img = mixed_frame(w * h, w, h, n, nch=3 if w > 1000 else 1)
-    config = RunConfig(patch_size=n, hfm_scope=scope, threads=threads)
+    config = RunConfig(patch_size=n, threads=threads)
     calls = {}  # the probabilities of each forward_batch call, by its input maps
 
     def recording(params, h_batch, l_batch):
@@ -122,13 +118,12 @@ def test_streamed_score_is_the_per_tile_score(w, h, n, scope, with_model, thread
     st.integers(1, 3),
     st.integers(0, 99),
     st.integers(0, 2**32 - 1),
-    st.sampled_from(["patch", "image"]),
     st.sampled_from([1, 3]),
 )
-def test_streamed_baseline_score_is_the_per_tile_score(n, cols, rows, extra, seed, scope, nch):
+def test_streamed_baseline_score_is_the_per_tile_score(n, cols, rows, extra, seed, nch):
     w, h = cols * n + extra % n, rows * n + (extra // 7) % n
     img = mixed_frame(seed, w, h, n, nch)
-    assert_same_as_per_tile(img, RunConfig(patch_size=n, hfm_scope=scope))
+    assert_same_as_per_tile(img, RunConfig(patch_size=n))
 
 
 def rgb_1080p(content):

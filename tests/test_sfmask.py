@@ -65,9 +65,10 @@ def test_spatial_frequency_on_a_stack_is_per_tile_bitwise(b, n, seed, quantized)
 
 
 def test_grid_stats_is_per_tile_over_blocks(rng):
-    # With N = 12 a block is a whole grid row; with N = 100, 128 and 140 it
-    # holds 6, 4 and 3 tiles, so the 7- and 5-tile rows split in two.  The
-    # right and bottom remainders are left out.
+    # A run of BLOCK_PIXELS // N^2 tiles holds 455 tiles at N = 12, about 8
+    # grid rows of 58, and 6, 4 and 3 tiles at N = 100, 128 and 140, whose
+    # grid rows hold 7, 5 and 5, so runs cross grid rows.  The right and
+    # bottom remainders are left out.
     luma = rng.random((300, 700)).astype(np.float32)
     img = PlanarImage.from_array(luma)
     for n in (12, 100, 128, 140):
