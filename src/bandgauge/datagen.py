@@ -347,12 +347,16 @@ def load_dataset(manifest_path, pws_cfg: PwsConfig | None = None):
     rows = read_manifest(manifest_path)
     base = os.path.dirname(os.path.abspath(manifest_path))
     buckets = {"train": [], "val": [], "test": []}
+    # Each image's luma is loaded at its first row and dropped after its
+    # last, so only images whose rows interleave are held together.
+    last_row = {r.image_path: i for i, r in enumerate(rows)}
     lumas = {}
-    for r in rows:
+    for i, r in enumerate(rows):
         if r.image_path not in lumas:
             img = load_image(os.path.join(base, r.image_path))
             lumas[r.image_path] = to_luma(img).planes[0].astype(np.float64)
-        luma = lumas[r.image_path]
+        last = last_row[r.image_path] == i
+        luma = lumas.pop(r.image_path) if last else lumas[r.image_path]
         n = r.patch_size
         patch = luma[r.patch_y : r.patch_y + n, r.patch_x : r.patch_x + n]
         if patch.shape != (n, n):

@@ -4,22 +4,28 @@ The high-frequency map is the gradient magnitude under the isotropic Sobel
 operator (sqrt-2 center weights), with image borders handled by edge
 replication.
 
-The low-frequency map is a piecewise-smooth approximation of the input: the
-minimizer of
+The low-frequency map is a piecewise-smooth approximation of the input,
+obtained by descending
 
     F(L) = 1/2 sum (I - L)^2  +  alpha * sum_active (L_q - L_p)^2  +  beta*|E|
 
 where the second sum runs over 4-neighbour pixel pairs whose endpoints both
 lie outside a frozen edge set E.  E is fixed up front from the input's
-forward-difference gradient magnitude (threshold tau, default mean + 2 std),
-which turns the problem into a single positive-definite quadratic.  That
-quadratic is solved by red-black Gauss-Seidel sweeps with natural (Neumann)
-boundary handling: L sits in a zero-bordered buffer, and a sweep updates
-its stride-2 sub-lattices (0,0), (1,1) (red) then (0,1), (1,0) (black) with
-0/1 pair weights.  Red-black ordering makes every sweep deterministic and
-exact coordinate minimization makes the energy non-increasing per sweep.
-Smoothing never crosses E, so strong edges survive while plateau noise is
-averaged away.
+forward-difference gradient magnitude (threshold tau, default mean + 2
+std), which turns the problem into a single positive-definite quadratic.
+That quadratic is descended by red-black Gauss-Seidel sweeps with natural
+(Neumann) boundary handling: L is held as its four stride-2 sub-lattices,
+each in a zero-bordered frame, and a sweep updates (0,0), (1,1) (red) then
+(0,1), (1,0) (black) with 0/1 pair weights.  Red-black ordering makes every
+sweep deterministic.  Each update minimizes F exactly over its sub-lattice,
+so it lowers F by exactly 1/2 sum diag * (old - new)^2, where diag is the
+coefficient the update divides by: the solver tracks F by this decrement
+instead of re-evaluating it.  The map is the iterate at which a sweep's
+decrement falls to tol times the energy before it, or to tol times the
+rounding floor eps * 1/2 sum I^2 when the energy is below that floor (a
+flat tile's energy is pure rounding noise, so such a tile stops after one
+sweep).  Smoothing never crosses E, so strong edges survive while plateau
+noise is averaged away.
 """
 
 from __future__ import annotations
@@ -67,7 +73,12 @@ class HighFreqMap:
 
 @dataclass(frozen=True)
 class LowFreqMap:
-    """Smoothed field in [0, 1] plus the per-sweep energy trace."""
+    """Smoothed field in [0, 1] plus the solver's running energies.
+
+    energy_trace[0] is F at L = I; each later entry is the one before it
+    minus the exact decrement of one sweep, so it matches F recomputed from
+    that sweep's iterate up to rounding.
+    """
 
     values: np.ndarray
     energy_trace: tuple = ()
@@ -181,20 +192,35 @@ def _smooth_across(d: np.ndarray, axis: int) -> np.ndarray:
 
 def gradient_magnitude(arr: np.ndarray) -> np.ndarray:
     """Forward-difference gradient magnitude, zero on the far borders."""
-    dx = np.zeros_like(arr)
-    dy = np.zeros_like(arr)
-    dx[:, :-1] = arr[:, 1:] - arr[:, :-1]
-    dy[:-1, :] = arr[1:, :] - arr[:-1, :]
-    return np.sqrt(dx * dx + dy * dy)
+    return _magnitude(*_squared_differences(arr))
+
+
+def _squared_differences(arr: np.ndarray):
+    """Squared forward differences along x, (h, w-1), and along y, (h-1, w)."""
+    dx, dy = arr[:, 1:] - arr[:, :-1], arr[1:] - arr[:-1]
+    dx *= dx
+    dy *= dy
+    return dx, dy
+
+
+def _magnitude(dx2: np.ndarray, dy2: np.ndarray) -> np.ndarray:
+    """sqrt(dx^2 + dy^2), the differences past the far borders taken as 0."""
+    mag = np.empty((dy2.shape[0] + 1, dx2.shape[1] + 1))
+    mag[:, :-1] = dx2
+    mag[:, -1] = 0.0
+    mag[:-1] += dy2
+    return np.sqrt(mag, out=mag)
+
+
+def _edges(mag: np.ndarray, threshold: float | None) -> np.ndarray:
+    if threshold is None:
+        threshold = float(mag.mean() + 2.0 * mag.std())
+    return mag > threshold
 
 
 def edge_set(img, threshold: float | None = None) -> np.ndarray:
     """Boolean mask of pixels whose gradient magnitude exceeds the cutoff."""
-    arr = _as_plane(img)
-    mag = gradient_magnitude(arr)
-    if threshold is None:
-        threshold = float(mag.mean() + 2.0 * mag.std())
-    return mag > threshold
+    return _edges(gradient_magnitude(_as_plane(img)), threshold)
 
 
 def _pair_masks(edges: np.ndarray):
@@ -208,54 +234,101 @@ def pws_energy(i_arr, l_arr, edges: np.ndarray, cfg: PwsConfig) -> float:
     l_arr = _as_plane(l_arr)
     if i_arr.shape != l_arr.shape or i_arr.shape != edges.shape:
         raise ValueError("image, field, and edge mask must share one shape")
-    return _energy(i_arr, l_arr, *_pair_masks(edges), cfg, float(edges.sum()))
-
-
-def _energy(i_arr, l_arr, pair_h, pair_v, cfg: PwsConfig, n_edges: float) -> float:
     d, dh, dv = i_arr - l_arr, l_arr[:, 1:] - l_arr[:, :-1], l_arr[1:] - l_arr[:-1]
     for t in (d, dh, dv):
         t *= t
+    pair_h, pair_v = _pair_masks(edges)
     dh *= pair_h
     dv *= pair_v
-    smooth = float(dh.sum() + dv.sum())
+    smooth, n_edges = float(dh.sum() + dv.sum()), float(edges.sum())
     return 0.5 * float(d.sum()) + cfg.reg_alpha * smooth + cfg.reg_beta * n_edges
 
 
+# Red sub-lattices, then black: (row parity, column parity).
+_PARITIES = ((0, 0), (1, 1), (0, 1), (1, 0))
+
+
+def _sub_lattices(arr: np.ndarray, edges: np.ndarray, a2: float) -> list:
+    """Per sub-lattice: its parity, its points and their four neighbours as
+    (centre, left, right, up, down) views of L, the update's coefficients
+    (wl, wr, wu, wd, arr, diag), and two scratch arrays of its shape.
+
+    Sub-lattice (py, px) holds the pixels (py + 2i, px + 2j) inside a zero
+    border, in a frame of its own.  Each neighbour of its points then lies in
+    one other frame at one shift, a contiguous window.  Frame cells outside
+    the image hold 0 both for L and for "not an edge", so every pair that
+    reaches one weighs 0, as at the border of a padded field.
+    """
+    h, w = arr.shape
+    frames = np.zeros((2, 4, (h + 1) // 2 + 2, (w + 1) // 2 + 2))  # L, then not-E
+    shapes = [arr[py::2, px::2].shape for py, px in _PARITIES]
+    for k, ((py, px), (hc, wc)) in enumerate(zip(_PARITIES, shapes)):
+        frames[0, k, 1 : 1 + hc, 1 : 1 + wc] = arr[py::2, px::2]
+        np.logical_not(edges[py::2, px::2], out=frames[1, k, 1 : 1 + hc, 1 : 1 + wc])
+    size = shapes[0][0] * shapes[0][1]  # (0, 0) is the largest sub-lattice
+    ns_buf, t_buf = np.empty(size), np.empty(size)
+    lattices = []
+    for k, ((py, px), (hc, wc)) in enumerate(zip(_PARITIES, shapes)):
+        centre, kept = frames[:, k, 1 : 1 + hc, 1 : 1 + wc]
+        neighbours = []
+        for dy, dx in ((0, -1), (0, 1), (-1, 0), (1, 0)):
+            q = _PARITIES.index(((py + dy) % 2, (px + dx) % 2))
+            oy, ox = 1 + (py + dy) // 2, 1 + (px + dx) // 2
+            neighbours.append(frames[:, q, oy : oy + hc, ox : ox + wc])
+        # A pair weighs 1 when neither end is an edge.
+        weights = [kept * nb_kept for _, nb_kept in neighbours]
+        diag = weights[0] + weights[1]
+        diag += weights[2]
+        diag += weights[3]
+        diag *= a2
+        diag += 1.0  # 1 + a2 * (wl + wr + wu + wd)
+        views = [centre] + [nb for nb, _ in neighbours]
+        scratch = ns_buf[: hc * wc].reshape(hc, wc), t_buf[: hc * wc].reshape(hc, wc)
+        lattices.append(((py, px), views, weights + [centre.copy(), diag], scratch))
+    return lattices
+
+
 def pws_lfm(img, cfg: PwsConfig = PwsConfig()) -> LowFreqMap:
-    """Low-frequency map: solve the frozen-edge quadratic for the input."""
+    """Low-frequency map: descend the frozen-edge quadratic from L = I."""
     arr = _as_plane(img)
     if not np.isfinite(arr).all():
         raise ValueError("input contains non-finite samples")
-    edges = edge_set(arr, cfg.edge_threshold)
-    h, w = arr.shape
-    # Column x of wh weighs the pair (x-1, x), row y of wv the pair (y-1, y).
-    wh, wv = np.zeros((h, w + 1)), np.zeros((h + 1, w))
-    wh[:, 1:-1], wv[1:-1] = _pair_masks(edges)
-    wl, wr, wu, wd = wh[:, :-1], wh[:, 1:], wv[:-1], wv[1:]
+    dx2, dy2 = _squared_differences(arr)
+    edges = _edges(_magnitude(dx2, dy2), cfg.edge_threshold)
+    # At L = I the data term is 0 and the pair differences are dx and dy;
+    # a pair with an edge at either end does not count.
+    dx2[edges[:, :-1] | edges[:, 1:]] = 0.0
+    dy2[edges[:-1] | edges[1:]] = 0.0
+    smooth, n_edges = float(dx2.sum() + dy2.sum()), float(edges.sum())
+    energy = cfg.reg_alpha * smooth + cfg.reg_beta * n_edges
+    # Below eps * 1/2 sum I^2 an energy is rounding noise: a flat tile's is.
+    floor = np.finfo(np.float64).eps * 0.5 * float(np.einsum("ij,ij->", arr, arr))
     a2 = 2.0 * cfg.reg_alpha
-    diag = 1.0 + a2 * (wl + wr + wu + wd)
-    pad = np.pad(arr, 1)
-    l_cur = pad[1:-1, 1:-1]
-    lattices = []
-    for py, px in ((0, 0), (1, 1), (0, 1), (1, 0)):
-        views = [pad[py + 1 + dy : h + 1 + dy : 2, px + 1 + dx : w + 1 + dx : 2]
-                 for dy, dx in ((0, 0), (0, -1), (0, 1), (-1, 0), (1, 0))]
-        coefs = [c[py::2, px::2].copy() for c in (wl, wr, wu, wd, arr, diag)]
-        lattices.append((views, coefs))
-    pair_h, pair_v, n_edges = wh[:, 1:-1].copy(), wv[1:-1].copy(), float(edges.sum())
+    lattices = _sub_lattices(arr, edges, a2)
 
-    trace = [_energy(arr, l_cur, pair_h, pair_v, cfg, n_edges)]
+    trace = [energy]
     for _ in range(cfg.max_iters):
-        for (centre, left, right, up, down), (cl, cr, cu, cd, arr_s, diag_s) in lattices:
+        drop = 0.0
+        for _, (centre, left, right, up, down), coefs, (ns, t) in lattices:
+            cl, cr, cu, cd, arr_s, diag_s = coefs
             # (arr + a2 * (wl*left + wr*right + wu*up + wd*down)) / diag, in this order
-            ns = cl * left
-            ns += cr * right
-            ns += cu * up
-            ns += cd * down
+            np.multiply(cl, left, out=ns)
+            ns += np.multiply(cr, right, out=t)
+            ns += np.multiply(cu, up, out=t)
+            ns += np.multiply(cd, down, out=t)
             ns *= a2
             ns += arr_s
-            np.divide(ns, diag_s, out=centre)
-        trace.append(_energy(arr, l_cur, pair_h, pair_v, cfg, n_edges))
-        if abs(trace[-2] - trace[-1]) <= cfg.tol * max(abs(trace[-2]), 1e-30):
+            ns /= diag_s
+            # Exact minimization over this sub-lattice lowers F by
+            # 1/2 sum diag * (old - new)^2.
+            np.subtract(centre, ns, out=t)
+            drop += float(np.einsum("ij,ij,ij->", t, t, diag_s))
+            centre[...] = ns
+        prev, energy = energy, energy - 0.5 * drop
+        trace.append(energy)
+        if 0.5 * drop <= cfg.tol * max(prev, floor):
             break
-    return LowFreqMap(np.clip(l_cur, arr.min(), arr.max()), tuple(trace))
+    out = np.empty_like(arr)
+    for (py, px), (centre, *_), _, _ in lattices:
+        out[py::2, px::2] = centre
+    return LowFreqMap(np.clip(out, arr.min(), arr.max(), out=out), tuple(trace))

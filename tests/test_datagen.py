@@ -1,5 +1,7 @@
 """Synthetic data: bases, quantization, masks, labels, dataset assembly."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -214,3 +216,26 @@ def test_manifest_roundtrip_and_errors(tmp_path):
     bad2.write_text("who,knows\n")
     with pytest.raises(ManifestError):
         read_manifest(bad2)
+
+
+def _load_overhead(manifest) -> int:
+    """Traced peak of load_dataset minus what its returned bundle holds."""
+    tracemalloc.start()
+    try:
+        bundle = load_dataset(manifest)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert bundle.train
+    return peak - held
+
+
+def test_load_dataset_holds_one_image_at_a_time(tmp_path):
+    overheads = []
+    for n_images in (10, 30):
+        out = tmp_path / f"ds{n_images}"
+        make_dataset(n_images, seed=3, patch_size=64, image_size=128, out_dir=out)
+        overheads.append(_load_overhead(out / "manifest.csv"))
+    # Holding every luma to the end grew this by 20 images' lumas (2.6 MB);
+    # the allowance is a quarter of one 128 x 128 float64 luma.
+    assert overheads[1] <= overheads[0] + 128 * 128 * 8 // 4, overheads
