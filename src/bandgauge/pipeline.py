@@ -1,8 +1,10 @@
 """End-to-end scoring: tile, frequency maps, classify, mask, pool.
 
 The classifier backend is either a trained dual-branch model or the
-handcrafted baseline rule; in both cases the per-pixel banding map and the
-pooled severity score come out of the same masking and pooling path.
+handcrafted baseline rule; in both cases the banding map and the pooled
+severity score come out of the same masking and pooling path.  The score is
+pooled from the banded tiles' maps; no full-frame map is built unless
+``result.bmap.values`` is read.
 Every tile gets its own maps.  One per-block function takes a run of
 consecutive tiles in raster order to its Sobel map and one probability per
 tile; the baseline rule's verdict is 0.0 or 1.0.  ``PatchGrid.blocks`` copies
@@ -14,9 +16,10 @@ grouping that ``forward_batch`` gives the whole grid; each block, with its
 ``pws_lfm`` per tile and its ``forward_batch``, is one task on a pool of
 ``RunConfig.threads`` workers (by default, the usable CPUs).  At most
 2 x threads blocks are in flight and their results are consumed in order,
-keeping only the probabilities and the banded tiles' maps, so the memory
-held grows by about 9 MB of scratch (mostly the solver's) per extra worker
-at N = 235.
+keeping only the probabilities and the banded tiles' maps (copied out of a
+run that is not wholly banded, so that a kept tile does not hold its run),
+so the memory held grows by about 9 MB of scratch (mostly the solver's) per
+extra worker at N = 235.
 """
 
 from __future__ import annotations
@@ -93,7 +96,7 @@ def score_image(
     grid = tile(img, n)
     stats = grid_stats(luma, grid)
     banded, confidence, hfms = _classify(luma, grid, stats, config, model)
-    del luma  # not read again; freed before the full-frame map is built
+    del luma  # not read again; freed before the map is pooled
     labels = [
         PatchLabel(Label.BANDED if b else Label.NON_BANDED, float(c))
         for b, c in zip(banded, confidence)
@@ -137,8 +140,12 @@ def _classify(luma, grid, stats, config: RunConfig, model):
     try:
         for start, hv, p in results:
             probs[start : start + len(p)] = p
-            for j in np.flatnonzero(p > 0.5):
-                hfms[start + j] = HighFreqMap(hv[j])
+            banded = np.flatnonzero(p > 0.5)
+            # A view of hv holds the whole run; copy the banded tiles out
+            # unless the run is all kept anyway.
+            kept = hv if len(banded) == len(hv) else hv[banded]
+            for j, t in zip(banded, kept):
+                hfms[start + j] = HighFreqMap(t)
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)

@@ -6,6 +6,11 @@ high-frequency map; pixels of non-banded patches and grid remainders stay
 zero.  The image score averages, over all patches, the mean of each patch's
 top-p% non-zero map values; perceived quality is dominated by the worst
 regions, so "top" means largest.
+
+Scoring needs the map only patch by patch, so ``banding_map`` keeps the
+banded patches' gradient maps and ``pool_score`` weights each one as it
+pools it.  The full-frame map is built on the first read of
+``BandingMap.values`` (``detect`` reads it) and cached.
 """
 
 from __future__ import annotations
@@ -27,20 +32,55 @@ class PatchMeta:
     weight: float
 
 
-@dataclass(frozen=True)
 class BandingMap:
-    """Per-pixel banding visibility plus per-patch bookkeeping."""
+    """Per-pixel banding visibility plus per-patch bookkeeping.
 
-    values: np.ndarray
-    patch_meta: tuple
-    patch_size: int
+    ``BandingMap(values, patch_meta, patch_size)`` holds a whole frame.
+    ``banding_map`` builds the tile form instead, which keeps each banded
+    patch's gradient map and assembles ``values`` on its first read.
+    """
 
-    def __post_init__(self):
-        v = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
+    def __init__(self, values, patch_meta: tuple, patch_size: int):
+        v = np.ascontiguousarray(np.asarray(values, dtype=np.float64))
         if v.size and float(v.min()) < 0.0:
             raise ValueError("banding map values must be non-negative")
         v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        self.patch_meta, self.patch_size = patch_meta, patch_size
+        self._shape, self._hvs, self._values = v.shape, None, v
+
+    @classmethod
+    def _from_tiles(cls, hvs: tuple, patch_meta: tuple, patch_size: int, shape: tuple):
+        """The tile form: hvs[i] is patch i's gradient map, or None if the
+        patch is not banded."""
+        bm = cls.__new__(cls)
+        bm.patch_meta, bm.patch_size = patch_meta, patch_size
+        bm._shape, bm._hvs, bm._values = shape, hvs, None
+        return bm
+
+    @property
+    def values(self) -> np.ndarray:
+        """The full-frame map, read-only; the tile form builds it once."""
+        if self._values is None:
+            values = np.zeros(self._shape)
+            n = self.patch_size
+            for meta in self.patch_meta:
+                block = self._patch(meta)
+                if block is not None:
+                    x, y = meta.origin
+                    values[y : y + n, x : x + n] = block
+            values.flags.writeable = False
+            self._values = values
+        return self._values
+
+    def _patch(self, meta: PatchMeta) -> np.ndarray | None:
+        """One patch's N x N map values; None for a patch that the tile
+        form holds no map for (its values are all zero)."""
+        if self._hvs is None:
+            x, y = meta.origin
+            n = self.patch_size
+            return self._values[y : y + n, x : x + n]
+        hv = self._hvs[meta.index]
+        return None if hv is None else meta.weight * np.abs(hv)
 
     @property
     def total_patches(self) -> int:
@@ -48,11 +88,11 @@ class BandingMap:
 
     @property
     def width(self) -> int:
-        return self.values.shape[1]
+        return self._shape[1]
 
     @property
     def height(self) -> int:
-        return self.values.shape[0]
+        return self._shape[0]
 
 
 @dataclass(frozen=True)
@@ -71,26 +111,27 @@ class QualityScore:
 def banding_map(
     grid: PatchGrid, labels, weights: MaskWeights, hfms
 ) -> BandingMap:
-    """Assemble the per-pixel visibility field from per-patch pieces.
+    """The per-pixel visibility field from per-patch pieces, in tile form.
 
     hfms[i] is read only for a banded patch i; the entry of a non-banded
-    patch may be None.
+    patch may be None.  Patch i's values are weights.w[i] * |hfms[i]|.
     """
     k = len(grid)
     if len(labels) != k or len(weights.w) != k or len(hfms) != k:
         raise ValueError("per-patch collections must align with the grid")
-    values = np.zeros((grid.image_height, grid.image_width))
-    meta = []
+    meta, hvs = [], []
     n = grid.patch_size
-    for i, (x, y) in enumerate(grid.patches):
-        w_i = float(weights.w[i])
+    for i, origin in enumerate(grid.patches):
+        hv = None
         if labels[i].is_banded:
             hv = hfms[i].values
             if hv.shape != (n, n):
                 raise ValueError(f"hfm {i} shape {hv.shape} != patch size {n}")
-            values[y : y + n, x : x + n] = w_i * np.abs(hv)
-        meta.append(PatchMeta(i, (x, y), labels[i], w_i))
-    return BandingMap(values, tuple(meta), n)
+        hvs.append(hv)
+        meta.append(PatchMeta(i, origin, labels[i], float(weights.w[i])))
+    return BandingMap._from_tiles(
+        tuple(hvs), tuple(meta), n, (grid.image_height, grid.image_width)
+    )
 
 
 def _top_fraction_mean(nonzero: np.ndarray, p_percent: float) -> float:
@@ -112,13 +153,13 @@ def pool_score(bm: BandingMap, p_percent: float = 80.0) -> QualityScore:
     """
     if not 0.0 < p_percent <= 100.0:
         raise ValueError("p_percent must lie in (0, 100]")
-    n = bm.patch_size
     scores = []
     for meta in bm.patch_meta:
-        x, y = meta.origin
-        block = bm.values[y : y + n, x : x + n]
-        nz = block[block > 0.0]
-        scores.append(_top_fraction_mean(nz, p_percent))
+        block = bm._patch(meta)
+        if block is None:
+            scores.append(0.0)
+        else:
+            scores.append(_top_fraction_mean(block[block > 0.0], p_percent))
     q = float(sum(scores) / len(scores)) if scores else 0.0
     return QualityScore(q, p_percent, tuple(scores))
 

@@ -150,13 +150,36 @@ def traced_peak(fn):
 
 @pytest.mark.parametrize("content", ["noise", "banded"])
 def test_score_image_memory_on_a_1080p_rgb_frame(content):
-    # The full-frame float64 banding map is 15.8 MiB.  A frame whose every
-    # tile is banded also keeps those tiles' gradient maps (13.5 MiB at
-    # N = 235) until the map is built; luma and blocks must not add more.
+    # The float32 luma is 7.9 MiB.  A frame whose every tile is banded also
+    # keeps those tiles' gradient maps (13.5 MiB at N = 235) to pool from;
+    # the 15.8 MiB full-frame map is not built, and blocks must not add more.
     img = rgb_1080p(content)
     res, peak = traced_peak(lambda: score_image(img, RunConfig()))
     assert res.banded_patch_count == (0 if content == "noise" else res.bmap.total_patches)
-    assert peak < 32 << 20
+    assert peak < {"noise": 12 << 20, "banded": 25 << 20}[content]
+
+
+def test_kept_tiles_do_not_hold_their_runs():
+    # At N = 64 a baseline run holds 16 tiles of 32 KiB each.  With one
+    # banded tile per run, the result must hold 30 tiles of 32 KiB plus the
+    # per-patch bookkeeping, not 30 whole runs (15 MiB) nor a full frame.
+    n = 64
+    arr = np.random.default_rng(0).integers(0, 256, (1080, 1920)).astype(np.uint8)
+    steps = (np.arange(n) // 16 * 8 + 100).astype(np.uint8)  # four 8-level steps
+    cols = 1920 // n
+    for k in range(0, 480, BLOCK_PIXELS // n**2):
+        r, c = divmod(k, cols)
+        arr[r * n : (r + 1) * n, c * n : (c + 1) * n] = steps
+    img = PlanarImage.from_array(arr)
+    tracemalloc.start()
+    try:
+        res = score_image(img, RunConfig(patch_size=n))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    banded = [m.index for m in res.bmap.patch_meta if m.label.is_banded]
+    assert banded == list(range(0, 480, 16))
+    assert held < 30 * (32 << 10) + (512 << 10)
 
 
 def test_model_score_memory_on_a_1080p_rgb_frame():
@@ -169,7 +192,7 @@ def test_model_score_memory_on_a_1080p_rgb_frame():
     model = init_params(235, seed=1)
     res, peak = traced_peak(lambda: score_image(img, RunConfig(threads=2), model))
     assert res.banded_patch_count == res.bmap.total_patches
-    assert peak < 44 << 20
+    assert peak < 40 << 20
 
 
 def test_more_workers_than_cores_with_fast_switching():

@@ -4,10 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bandgauge.freq import HighFreqMap
 from bandgauge.imgcore import Label, PatchLabel, PlanarImage, tile
-from bandgauge.scoring import BandingMap, banding_map, map_to_image, pool_score
+from bandgauge.scoring import (
+    BandingMap,
+    PatchMeta,
+    _top_fraction_mean,
+    banding_map,
+    map_to_image,
+    pool_score,
+)
 from bandgauge.sfmask import MaskWeights
 
 
@@ -49,6 +58,75 @@ def brute_force_pool(bm, p_percent):
         selected = [v for v in vals if v >= cutoff]
         patch_scores.append(float(np.mean(np.array(selected))))
     return sum(patch_scores) / len(patch_scores), patch_scores
+
+
+def banding_map_reference(grid, labels, weights, hfms):
+    """The map as one eager full frame: zeros, then w_i * |hfm| per banded
+    patch."""
+    values = np.zeros((grid.image_height, grid.image_width))
+    meta = []
+    n = grid.patch_size
+    for i, (x, y) in enumerate(grid.patches):
+        w_i = float(weights.w[i])
+        if labels[i].is_banded:
+            values[y : y + n, x : x + n] = w_i * np.abs(hfms[i].values)
+        meta.append(PatchMeta(i, (x, y), labels[i], w_i))
+    return BandingMap(values, tuple(meta), n)
+
+
+def pool_score_reference(bm, p_percent):
+    """(q, per-patch scores) pooled from slices of the full frame."""
+    n = bm.patch_size
+    scores = []
+    for meta in bm.patch_meta:
+        x, y = meta.origin
+        block = bm.values[y : y + n, x : x + n]
+        scores.append(_top_fraction_mean(block[block > 0.0], p_percent))
+    return float(sum(scores) / len(scores)), scores
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(8, 40),
+    st.integers(1, 5),
+    st.integers(1, 4),
+    st.integers(0, 39),
+    st.integers(0, 39),
+    st.floats(0.0, 100.0, exclude_min=True),
+    st.integers(0, 2**32 - 1),
+)
+def test_tile_form_is_the_full_frame_bitwise(n, cols, rows, extra_w, extra_h, p, seed):
+    rng = np.random.default_rng(seed)
+    img = PlanarImage.from_array(
+        np.zeros((rows * n + extra_h % n, cols * n + extra_w % n), dtype=np.uint8)
+    )
+    grid = tile(img, n)
+    labels = [BANDED if b else CLEAN for b in rng.random(len(grid)) < rng.random()]
+    weights = MaskWeights(1.0 + rng.exponential(size=len(grid)), 1.5)
+    hfms = []
+    for label in labels:
+        vals = np.floor(rng.random((n, n)) * 6.0) / 2.0  # zeros and ties
+        hfms.append(HighFreqMap(vals) if label.is_banded else None)
+    bm = banding_map(grid, labels, weights, hfms)
+    want = banding_map_reference(grid, labels, weights, hfms)
+    got = pool_score(bm, p)
+    want_q, want_scores = pool_score_reference(want, p)
+    assert list(got.per_patch_scores) == want_scores
+    assert got.q.hex() == want_q.hex()
+    assert pool_score(want, p) == got  # the full-frame form pools alike
+    assert bm.patch_meta == want.patch_meta
+    assert (bm.width, bm.height) == (want.width, want.height)
+    assert bm.values.tobytes() == want.values.tobytes()
+
+
+def test_values_are_built_once_and_read_only(rng):
+    grid, labels, weights, hfms = build_map(rng)
+    bm = banding_map(grid, labels, weights, hfms)
+    values = bm.values
+    assert bm.values is values
+    assert not values.flags.writeable
+    with pytest.raises(ValueError):
+        values[0, 0] = 1.0
 
 
 def test_all_clean_gives_zero_map(rng):

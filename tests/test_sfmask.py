@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from bandgauge.imgcore import PlanarImage, tile
 from bandgauge.sfmask import (
+    SpatialFreqStats,
     grid_stats,
     mask_weight,
     mask_weights,
@@ -120,6 +121,23 @@ def test_mask_weight_validation():
         mask_weight(1.0, 0.5, 0, 1.5)
     with pytest.raises(ValueError):
         mask_weight(1.0, 0.5, 8, 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.floats(0.0, 4.0), min_size=1, max_size=300),
+    st.integers(1, 300),
+    st.floats(0.05, 4.0),
+)
+@example([0.25 + k / 997 for k in range(300)], 235, 1.5)
+def test_mask_weights_is_mask_weight_per_patch_bitwise(sfs, n, gamma):
+    # numpy's float64 power rounds differently from Python's ** on some
+    # inputs (about 5% of uniform samples at gamma = 1.5), so a vectorised
+    # np.power would move the weights and the score.
+    sf = np.array(sfs)
+    stats = SpatialFreqStats(sf, sf, sf, sf_threshold(sf))
+    want = [mask_weight(v, stats.epsilon, n, gamma) for v in stats.sf]
+    assert mask_weights(stats, n, gamma).w.tobytes() == np.array(want).tobytes()
 
 
 def test_weights_floor_at_one(rng):
