@@ -13,6 +13,7 @@ image can leak across splits.  Every image derives its own RNG stream from
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 
@@ -21,8 +22,10 @@ import numpy as np
 from .checks import check
 from .classifier import PatchSample
 from .csvfile import read_rows, write_rows
-from .freq import PwsConfig, pws_lfm, sobel_hfm
+from .freq import HighFreqMap, PwsConfig
+from .freq import pws_lfm, sobel_hfm  # noqa: F401 - wrapped by name in perfbench/tracer.py
 from .imgcore import (
+    BLOCK_PIXELS,
     Label,
     PatchGrid,
     PatchLabel,
@@ -32,6 +35,7 @@ from .imgcore import (
     tile,
     to_luma,
 )
+from .pipeline import tile_maps
 
 KINDS = ("linear_ramp", "radial_ramp", "sky_gradient", "noise_texture", "mixed_scene")
 _SMOOTH_KINDS = ("linear_ramp", "radial_ramp", "sky_gradient")
@@ -200,14 +204,11 @@ def make_sample(spec: SynthSpec) -> GeneratedSample:
 
 def label_patches(sample: GeneratedSample, grid: PatchGrid):
     """Banded iff strictly more than 30% of the patch area is masked."""
-    n = grid.patch_size
-    area = float(n * n)
-    labels = []
-    for k in range(len(grid)):
-        frac = float(grid.extract(sample.banded_mask, k).sum()) / area
-        val = Label.BANDED if frac > 0.30 else Label.NON_BANDED
-        labels.append(PatchLabel(val, 1.0))
-    return tuple(labels)
+    n, rows, cols = grid.patch_size, grid.rows, grid.cols
+    mask = sample.banded_mask[: rows * n, : cols * n]
+    counts = mask.reshape(rows, n, cols, n).sum(axis=(1, 3))
+    banded = counts.ravel() / float(n * n) > 0.30
+    return tuple(PatchLabel(Label.BANDED if b else Label.NON_BANDED, 1.0) for b in banded)
 
 
 @dataclass(frozen=True)
@@ -243,7 +244,8 @@ def make_dataset(
     """Generate images, label patches, and precompute frequency maps.
 
     Whole images are assigned to train/val/test; when out_dir is given the
-    images are written as PNG and a manifest.csv alongside them.
+    images are written as PNG and a manifest.csv alongside them.  The maps
+    come from ``pipeline.tile_maps``, as on the scoring path.
     """
     check("seed", seed, int, ge=0)
     check("patch_size", patch_size, int, ge=8)
@@ -280,14 +282,15 @@ def make_dataset(
             save_image(sample.image, os.path.join(out_dir, name))
         grid = tile(sample.image, patch_size)
         labels = label_patches(sample, grid)
-        luma = to_luma(sample.image).planes[0].astype(np.float64)
-        for k, (x, y) in enumerate(grid.patches):
-            patch = grid.extract(luma, k)
-            ps = PatchSample(sobel_hfm(patch), pws_lfm(patch, pws_cfg), labels[k])
-            buckets[assigned[i]].append(ps)
-            manifest.append(
-                ManifestRow(name, x, y, patch_size, labels[k].value, assigned[i])
-            )
+        luma = to_luma(sample.image).planes[0]
+        for start, block in grid.blocks(luma, max(1, BLOCK_PIXELS // patch_size**2)):
+            hv, lfms = tile_maps(block, pws_cfg)
+            for k, (h, lfm) in enumerate(zip(hv, lfms), start):
+                x, y = grid.patches[k]
+                buckets[assigned[i]].append(PatchSample(HighFreqMap(h), lfm, labels[k]))
+                manifest.append(
+                    ManifestRow(name, x, y, patch_size, labels[k].value, assigned[i])
+                )
     if out_dir is not None:
         write_manifest(manifest, os.path.join(out_dir, "manifest.csv"))
     return DatasetBundle(
@@ -332,6 +335,10 @@ def _manifest_row(path, line_no, row) -> ManifestRow:
         x, y, n = int(row[1]), int(row[2]), int(row[3])
     except ValueError:
         raise ValueError(f"{path}:{line_no}: non-integer coordinate") from None
+    if x < 0 or y < 0:
+        raise ValueError(f"{path}:{line_no}: negative patch coordinate ({x}, {y})")
+    if n < 8:
+        raise ValueError(f"{path}:{line_no}: patch size {n} is below 8")
     try:
         label = Label(row[4])
     except ValueError:
@@ -342,30 +349,31 @@ def _manifest_row(path, line_no, row) -> ManifestRow:
 
 
 def load_dataset(manifest_path, pws_cfg: PwsConfig | None = None):
-    """Rebuild split patch-sample lists from a manifest and its images."""
+    """Rebuild split patch-sample lists from a manifest and its images.
+
+    Samples keep manifest order, and each row's maps come from
+    ``pipeline.tile_maps``.  One image's luma is held at a time, so an image
+    whose rows are not contiguous in the manifest is decoded again for each
+    run of its rows.
+    """
     pws_cfg = pws_cfg or PwsConfig()
     rows = read_manifest(manifest_path)
     base = os.path.dirname(os.path.abspath(manifest_path))
+
+    @functools.lru_cache(maxsize=1)
+    def luma_of(image_path):
+        return to_luma(load_image(os.path.join(base, image_path))).planes[0]
+
     buckets = {"train": [], "val": [], "test": []}
-    # Each image's luma is loaded at its first row and dropped after its
-    # last, so only images whose rows interleave are held together.
-    last_row = {r.image_path: i for i, r in enumerate(rows)}
-    lumas = {}
-    for i, r in enumerate(rows):
-        if r.image_path not in lumas:
-            img = load_image(os.path.join(base, r.image_path))
-            lumas[r.image_path] = to_luma(img).planes[0].astype(np.float64)
-        last = last_row[r.image_path] == i
-        luma = lumas.pop(r.image_path) if last else lumas[r.image_path]
+    for r in rows:
         n = r.patch_size
-        patch = luma[r.patch_y : r.patch_y + n, r.patch_x : r.patch_x + n]
+        patch = luma_of(r.image_path)[r.patch_y : r.patch_y + n, r.patch_x : r.patch_x + n]
         if patch.shape != (n, n):
             raise ManifestError(
                 f"{manifest_path}: patch at ({r.patch_x}, {r.patch_y}) leaves {r.image_path}"
             )
-        ps = PatchSample(
-            sobel_hfm(patch), pws_lfm(patch, pws_cfg), PatchLabel(r.label, 1.0)
-        )
+        hv, lfms = tile_maps(patch[None].astype(np.float64), pws_cfg)
+        ps = PatchSample(HighFreqMap(hv[0]), lfms[0], PatchLabel(r.label, 1.0))
         buckets[r.split].append(ps)
     return DatasetBundle(
         tuple(buckets["train"]), tuple(buckets["val"]), tuple(buckets["test"]), tuple(rows)

@@ -7,9 +7,10 @@ pooled from the banded tiles' maps; no full-frame map is built unless
 ``result.bmap.values`` is read.
 Every tile gets its own maps.  One per-block function takes a run of
 consecutive tiles in raster order to its Sobel map and one probability per
-tile; the baseline rule's verdict is 0.0 or 1.0.  ``PatchGrid.blocks`` copies
-each run out of the float32 luma plane (a run may cross grid rows), so no
-whole-frame float64 copy of it is made.  The baseline rule runs on the
+tile; the baseline rule's verdict is 0.0 or 1.0.  The model's maps come from
+``tile_maps``, which also makes datagen's training maps.  ``PatchGrid.blocks``
+copies each run out of the float32 luma plane (a run may cross grid rows), so
+no whole-frame float64 copy of it is made.  The baseline rule runs on the
 calling thread over runs of ``imgcore.BLOCK_PIXELS // N^2`` tiles.  A model
 runs over forward blocks of ``classifier._BLOCK_PIXELS // N^2`` tiles, the
 grouping that ``forward_batch`` gives the whole grid; each block, with its
@@ -32,7 +33,7 @@ import numpy as np
 
 from .checks import check
 from .classifier import _BLOCK_PIXELS, BaselineConfig, DualNetParams, forward_batch
-from .freq import HighFreqMap, PwsConfig, pws_lfm, sobel_hfm
+from .freq import HighFreqMap, LowFreqMap, PwsConfig, pws_lfm, sobel_hfm
 from .imgcore import BLOCK_PIXELS, Label, PatchLabel, PlanarImage, tile, to_luma
 from .scoring import BandingMap, QualityScore, banding_map, pool_score
 from .sfmask import grid_stats, mask_weights
@@ -51,7 +52,8 @@ class RunConfig:
     """Pipeline knobs; defaults follow the reference settings.
 
     Gradient and low-frequency maps are always computed per tile, each tile
-    seeing replicated borders, as datagen makes the training maps.
+    seeing replicated borders; ``tile_maps`` makes them for scoring and for
+    datagen's training samples alike.
 
     threads is the number of workers that score a model's forward blocks
     (Sobel, solver and CNN); it defaults to the usable CPUs.  Each extra
@@ -108,6 +110,12 @@ def score_image(
     return ImageResult(qs, bm)
 
 
+def tile_maps(block, pws: PwsConfig) -> tuple[np.ndarray, list[LowFreqMap]]:
+    """The model's inputs for a (B, n, n) run of tiles, in training and in
+    scoring: their stacked Sobel values and one low-frequency map per tile."""
+    return sobel_hfm(block).values, [pws_lfm(t, pws) for t in block]
+
+
 def _classify(luma, grid, stats, config: RunConfig, model):
     """(banded, confidence, hfms) per tile, streamed over runs of tiles.
 
@@ -117,11 +125,12 @@ def _classify(luma, grid, stats, config: RunConfig, model):
     def score_block(item):
         """(start, Sobel maps, probabilities) of one run of tiles."""
         start, block = item
-        hv = sobel_hfm(block).values
         if model is None:
+            hv = sobel_hfm(block).values
             sf = stats.sf[start : start + len(block)]
             return start, hv, config.baseline.banded(hv.mean(axis=(-2, -1)), sf).astype(float)
-        return start, hv, forward_batch(model, hv, [pws_lfm(t, config.pws) for t in block])
+        hv, lfms = tile_maps(block, config.pws)
+        return start, hv, forward_batch(model, hv, lfms)
 
     pixels = BLOCK_PIXELS if model is None else _BLOCK_PIXELS
     blocks = grid.blocks(luma, max(1, pixels // grid.patch_size**2))

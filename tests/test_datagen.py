@@ -4,10 +4,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bandgauge.datagen import (
     GeneratedSample,
     ManifestError,
+    ManifestRow,
     SynthSpec,
     gen_base,
     label_patches,
@@ -16,8 +19,10 @@ from bandgauge.datagen import (
     make_sample,
     quantize_bitdepth,
     read_manifest,
+    write_manifest,
 )
-from bandgauge.imgcore import Label, PlanarImage, tile
+from bandgauge.freq import pws_lfm, sobel_hfm
+from bandgauge.imgcore import Label, PatchLabel, PlanarImage, load_image, tile, to_luma
 
 
 def test_linear_ramp_row_constant():
@@ -158,6 +163,35 @@ def test_label_patch_boundary():
     assert label_patches(s31, grid)[0].value is Label.BANDED
 
 
+def label_patches_per_tile(sample, grid):
+    """label_patches as it ran before, one patch at a time."""
+    area = float(grid.patch_size**2)
+    labels = []
+    for k in range(len(grid)):
+        frac = float(grid.extract(sample.banded_mask, k).sum()) / area
+        labels.append(PatchLabel(Label.BANDED if frac > 0.30 else Label.NON_BANDED, 1.0))
+    return tuple(labels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(8, 20),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.integers(0, 7),
+    st.integers(0, 7),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_label_patches_is_the_per_tile_rule(n, cols, rows, extra_w, extra_h, density, seed):
+    w, h = cols * n + extra_w, rows * n + extra_h
+    img = PlanarImage.from_array(np.zeros((h, w), dtype=np.uint8))
+    mask = np.random.default_rng(seed).random((h, w)) < density
+    sample = GeneratedSample(img, mask, SynthSpec("linear_ramp", size=16))
+    grid = tile(img, n)
+    assert label_patches(sample, grid) == label_patches_per_tile(sample, grid)
+
+
 def test_make_dataset_split_and_determinism(tmp_path):
     out1 = tmp_path / "d1"
     out2 = tmp_path / "d2"
@@ -201,10 +235,11 @@ def test_manifest_roundtrip_and_errors(tmp_path):
     assert len(rows) == len(bundle.manifest)
 
     loaded = load_dataset(out / "manifest.csv")
-    assert len(loaded.train) == len(bundle.train)
-    assert [s.label.value for s in loaded.train] == [
-        s.label.value for s in bundle.train
-    ]
+    assert loaded.manifest == bundle.manifest
+    for name in ("train", "val", "test"):
+        assert [_sample_key(s) for s in loaded.split(name)] == [
+            _sample_key(s) for s in bundle.split(name)
+        ]
 
     bad = tmp_path / "bad.csv"
     bad.write_text("image_path,patch_x,patch_y,N,label,split\nfoo.png,a,0,64,banded,train\n")
@@ -216,6 +251,61 @@ def test_manifest_roundtrip_and_errors(tmp_path):
     bad2.write_text("who,knows\n")
     with pytest.raises(ManifestError):
         read_manifest(bad2)
+
+
+def _sample_key(s):
+    return (s.hfm.values.tobytes(), s.lfm.values.tobytes(), s.lfm.energy_trace, s.label)
+
+
+def _bad_manifest(tmp_path, row):
+    path = tmp_path / "bad.csv"
+    path.write_text("image_path,patch_x,patch_y,N,label,split\n" + row + "\n")
+    return path
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("foo.png,-100,0,64,banded,train", "negative patch coordinate (-100, 0)"),
+        ("foo.png,0,-1,64,banded,train", "negative patch coordinate (0, -1)"),
+        ("foo.png,0,0,0,banded,train", "patch size 0 is below 8"),
+        ("foo.png,0,0,7,banded,train", "patch size 7 is below 8"),
+    ],
+)
+def test_manifest_rejects_bad_coordinates_and_sizes(tmp_path, row, message):
+    path = _bad_manifest(tmp_path, row)
+    with pytest.raises(ManifestError) as err:
+        read_manifest(path)
+    assert str(err.value) == f"{path}:2: {message}"
+
+
+def test_manifest_patch_leaving_its_image(tmp_path):
+    make_dataset(10, seed=1, patch_size=64, image_size=128, out_dir=tmp_path)
+    name = read_manifest(tmp_path / "manifest.csv")[0].image_path
+    path = _bad_manifest(tmp_path, f"{name},65,0,64,banded,train")
+    with pytest.raises(ManifestError, match=rf"patch at \(65, 0\) leaves {name}"):
+        load_dataset(path)
+
+
+def test_load_dataset_follows_manifest_order(tmp_path):
+    # Interleaved images, off-grid positions and two patch sizes.
+    bundle = make_dataset(10, seed=2, patch_size=64, image_size=128, out_dir=tmp_path)
+    a, b = sorted({r.image_path for r in bundle.manifest})[:2]
+    spots = [(a, 3, 17, 64), (b, 50, 0, 37), (a, 91, 91, 37), (b, 0, 64, 64), (a, 5, 60, 8)]
+    labels = [Label.BANDED, Label.NON_BANDED]
+    rows = [
+        ManifestRow(p, x, y, n, labels[i % 2], "train" if i < 4 else "test")
+        for i, (p, x, y, n) in enumerate(spots)
+    ]
+    write_manifest(rows, tmp_path / "hand.csv")
+    loaded = load_dataset(tmp_path / "hand.csv")
+    assert loaded.manifest == tuple(rows) and not loaded.val
+    for i, (s, (p, x, y, n)) in enumerate(zip(loaded.train + loaded.test, spots)):
+        luma = to_luma(load_image(tmp_path / p)).planes[0].astype(np.float64)
+        patch = luma[y : y + n, x : x + n]
+        assert s.hfm.values.tobytes() == sobel_hfm(patch).values.tobytes()
+        assert s.lfm.values.tobytes() == pws_lfm(patch).values.tobytes()
+        assert s.label == PatchLabel(labels[i % 2], 1.0)
 
 
 def _load_overhead(manifest) -> int:

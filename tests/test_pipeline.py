@@ -14,8 +14,17 @@ from hypothesis import strategies as st
 
 from bandgauge.classifier import _BLOCK_PIXELS, forward_batch, init_params, save_params
 from bandgauge.cli import main
+from bandgauge.datagen import make_dataset
 from bandgauge.freq import HighFreqMap, pws_lfm
-from bandgauge.imgcore import BLOCK_PIXELS, Label, PatchLabel, PlanarImage, save_image, tile
+from bandgauge.imgcore import (
+    BLOCK_PIXELS,
+    Label,
+    PatchLabel,
+    PlanarImage,
+    load_image,
+    save_image,
+    tile,
+)
 from bandgauge.pipeline import RunConfig, score_image
 from bandgauge.scoring import banding_map, pool_score
 from bandgauge.sfmask import SpatialFreqStats, mask_weights, sf_threshold
@@ -109,6 +118,32 @@ def test_streamed_score_is_the_per_tile_score(w, h, n, with_model, threads, monk
     assert len(calls) == len(starts)
     streamed = [calls[np.stack([m.values for m in hfms[s : s + step]]).tobytes()] for s in starts]
     assert np.concatenate(streamed).tobytes() == probs.tobytes()
+
+
+def test_network_scores_what_it_was_trained_on(tmp_path, monkeypatch):
+    # A mixed scene (ramp over noise), where the solver does work, cut into
+    # 36 tiles at N = 64: two forward blocks, the second short.
+    n = 64
+    bundle = make_dataset(10, seed=5, patch_size=n, image_size=384, out_dir=tmp_path)
+    train_rows = [r for r in bundle.manifest if r.split == "train"]
+    name = next(r.image_path for r in train_rows if "mixed_scene" in r.image_path)
+    samples = [s for s, r in zip(bundle.train, train_rows) if r.image_path == name]
+    calls = {}  # the low-frequency maps of each forward_batch call, by its Sobel maps
+
+    def recording(params, h_batch, l_batch):
+        calls[np.asarray(h_batch).tobytes()] = [m.values.tobytes() for m in l_batch]
+        return forward_batch(params, h_batch, l_batch)
+
+    monkeypatch.setattr("bandgauge.pipeline.forward_batch", recording)
+    img = load_image(tmp_path / name)
+    score_image(img, RunConfig(patch_size=n, threads=2), init_params(n, (2, 3, 4), 8, seed=1))
+    step = _BLOCK_PIXELS // (n * n)
+    starts = range(0, len(samples), step)
+    assert len(samples) == len(tile(img, n)) == 36 and len(calls) == len(starts) == 2
+    for s in starts:
+        run = samples[s : s + step]
+        lfms = calls[np.stack([t.hfm.values for t in run]).tobytes()]
+        assert lfms == [t.lfm.values.tobytes() for t in run]
 
 
 @settings(max_examples=30, deadline=None)
