@@ -28,7 +28,6 @@ from .sfmask import MaskWeights, SpatialFreqStats, mask_weight, sf_threshold, sp
 from .subjective import (
     OutlierConfig,
     RatingSet,
-    grubbs_statistic,
     grubbs_threshold,
     mos,
     remove_outliers,

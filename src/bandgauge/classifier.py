@@ -108,7 +108,6 @@ class TrainConfig:
     batch_size: int = 32
     epochs: int = 25
     seed: int = 0
-    split: tuple = (0.8, 0.1, 0.1)
     patch_size: int = 64
     widths: tuple = (8, 16, 32)
     fc_width: int = 128
@@ -121,10 +120,6 @@ class TrainConfig:
         check("patch_size", self.patch_size, int, ge=8)
         for width in self.widths:
             check("widths", width, int, ge=1)
-        for frac in self.split:
-            check("split", frac, ge=0)
-        if abs(sum(self.split) - 1.0) > 1e-9:
-            raise ValueError("split fractions must sum to 1")
 
 
 @dataclass(frozen=True)
@@ -273,11 +268,6 @@ def _conv_input_grad(dout, w, cache):
         for kx, (xlo, xhi, xs) in enumerate(_taps(wi)):
             dx[:, :, ys, xs] += d6[:, :, ky, kx, ylo:yhi, xlo:xhi]
     return dx
-
-
-def _conv_backward(dout, w, cache):
-    """(dx, dw, db) of _conv_forward for the upstream gradient dout."""
-    return (_conv_input_grad(dout, w, cache), *_conv_param_grads(dout, cache))
 
 
 def _branch_forward(bp: BranchParams, x, keep_caches=True):
@@ -446,28 +436,20 @@ def _rebuild(params: DualNetParams, tensors: list) -> DualNetParams:
     )
 
 
-def train(samples, cfg: TrainConfig, val_samples=None, report_path=None):
-    """Train the dual-branch network.
+def train(samples, cfg: TrainConfig, val_samples, report_path=None):
+    """Train the dual-branch network on samples, selecting the epoch by its
+    accuracy on val_samples.
 
-    When val_samples is None the sample list is shuffled by cfg.seed and cut
-    by cfg.split into train/val (the test fraction is simply held out).
     Returns (params_of_best_validation_epoch, per_epoch_stats).
     """
     labels = [s.label.is_banded for s in samples]
     if len(set(labels)) < 2:
         raise ValueError("training data must contain both classes")
 
-    if val_samples is None:
-        order = np.random.default_rng(cfg.seed).permutation(len(samples))
-        n_train = int(round(cfg.split[0] * len(samples)))
-        n_val = int(round(cfg.split[1] * len(samples)))
-        train_set = [samples[i] for i in order[:n_train]]
-        val_set = [samples[i] for i in order[n_train : n_train + n_val]]
-    else:
-        train_set = list(samples)
-        val_set = list(val_samples)
+    train_set = list(samples)
+    val_set = list(val_samples)
     if not train_set or not val_set:
-        raise ValueError("empty train or validation split")
+        raise ValueError("empty train or validation set")
 
     params = init_params(
         cfg.patch_size, cfg.widths, cfg.fc_width, seed=cfg.seed

@@ -228,9 +228,6 @@ class DatasetBundle:
     test: tuple
     manifest: tuple  # ManifestRow per patch
 
-    def split(self, name: str):
-        return getattr(self, name)
-
 
 def make_dataset(
     n_images: int,
@@ -323,9 +320,14 @@ class ManifestError(ValueError):
 
 
 def read_manifest(path):
+    return [row for _, row in _numbered_manifest(path)]
+
+
+def _numbered_manifest(path):
+    """(line_no, ManifestRow) per data row, so later checks can name the line."""
     try:
         rows = read_rows(path, _MANIFEST_HEADER)
-        return [_manifest_row(path, line_no, row) for line_no, row in rows]
+        return [(line_no, _manifest_row(path, line_no, row)) for line_no, row in rows]
     except ValueError as exc:
         raise ManifestError(str(exc)) from None
 
@@ -357,7 +359,7 @@ def load_dataset(manifest_path, pws_cfg: PwsConfig | None = None):
     run of its rows.
     """
     pws_cfg = pws_cfg or PwsConfig()
-    rows = read_manifest(manifest_path)
+    numbered = _numbered_manifest(manifest_path)
     base = os.path.dirname(os.path.abspath(manifest_path))
 
     @functools.lru_cache(maxsize=1)
@@ -365,16 +367,20 @@ def load_dataset(manifest_path, pws_cfg: PwsConfig | None = None):
         return to_luma(load_image(os.path.join(base, image_path))).planes[0]
 
     buckets = {"train": [], "val": [], "test": []}
-    for r in rows:
+    for line_no, r in numbered:
         n = r.patch_size
         patch = luma_of(r.image_path)[r.patch_y : r.patch_y + n, r.patch_x : r.patch_x + n]
         if patch.shape != (n, n):
             raise ManifestError(
-                f"{manifest_path}: patch at ({r.patch_x}, {r.patch_y}) leaves {r.image_path}"
+                f"{manifest_path}:{line_no}: patch at ({r.patch_x}, {r.patch_y})"
+                f" leaves {r.image_path}"
             )
         hv, lfms = tile_maps(patch[None].astype(np.float64), pws_cfg)
         ps = PatchSample(HighFreqMap(hv[0]), lfms[0], PatchLabel(r.label, 1.0))
         buckets[r.split].append(ps)
     return DatasetBundle(
-        tuple(buckets["train"]), tuple(buckets["val"]), tuple(buckets["test"]), tuple(rows)
+        tuple(buckets["train"]),
+        tuple(buckets["val"]),
+        tuple(buckets["test"]),
+        tuple(r for _, r in numbered),
     )

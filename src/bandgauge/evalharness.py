@@ -1,6 +1,5 @@
 """Evaluation machinery: correlations, logistic score alignment,
-classification curves, threshold search, significance testing, and the
-content-diversity statistics.
+classification curves, threshold search and significance testing.
 
 Monotonicity metrics (rank and pairwise-order correlation) are computed on
 raw scores; consistency metrics (linear correlation, RMS error) are computed
@@ -28,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imgcore import PlanarImage, to_luma
 from .statdist import f_quantile
 
 
@@ -298,25 +296,3 @@ def ftest_significance(residuals_a, residuals_b, confidence: float = 0.95) -> FT
     critical = f_quantile(1.0 - confidence, a.size - 1, b.size - 1)
     return FTestResult(f_stat, critical, f_stat < critical)
 
-
-def diversity_metrics(img: PlanarImage) -> tuple:
-    """(contrast, colorfulness, brightness) of an RGB image.
-
-    Contrast: std of gray-scale intensity. Colorfulness: opponent-channel
-    statistic from (R-G, (R+G)/2 - B). Brightness: mean intensity over the
-    three channels.
-    """
-    if img.channels != 3:
-        raise ValueError("diversity metrics need an RGB image")
-    r, g, b = (p.astype(np.float64) for p in img.planes)
-    if img.is_float:
-        r, g, b = r * 255.0, g * 255.0, b * 255.0
-    gray = to_luma(img).planes[0].astype(np.float64) * 255.0
-    contrast = float(gray.std())
-    rg = r - g
-    yb = 0.5 * (r + g) - b
-    colorfulness = float(
-        math.hypot(rg.mean(), yb.mean()) + math.hypot(rg.std(), yb.std())
-    )
-    brightness = float((r.mean() + g.mean() + b.mean()) / 3.0)
-    return contrast, colorfulness, brightness

@@ -116,9 +116,6 @@ class PlanarImage:
             return self.planes[0].copy()
         return np.stack(self.planes, axis=-1)
 
-    def plane(self, c: int = 0) -> np.ndarray:
-        return self.planes[c]
-
 
 @dataclass(frozen=True)
 class PatchGrid:
@@ -144,12 +141,6 @@ class PatchGrid:
 
     def __len__(self) -> int:
         return len(self.patches)
-
-    def extract(self, arr: np.ndarray, k: int) -> np.ndarray:
-        """View of patch k out of a (h, w) array."""
-        x, y = self.patches[k]
-        n = self.patch_size
-        return arr[y : y + n, x : x + n]
 
     def blocks(self, plane: np.ndarray, size: int):
         """Yield (index of the first patch, float64 (B, n, n) copy) per run

@@ -35,31 +35,19 @@ class PatchMeta:
 class BandingMap:
     """Per-pixel banding visibility plus per-patch bookkeeping.
 
-    ``BandingMap(values, patch_meta, patch_size)`` holds a whole frame.
-    ``banding_map`` builds the tile form instead, which keeps each banded
-    patch's gradient map and assembles ``values`` on its first read.
+    hvs[i] is patch i's gradient map, or None if the patch is not banded;
+    patch i's map values are patch_meta[i].weight * |hvs[i]|.  ``values``
+    assembles the full frame of the given (height, width) shape on its
+    first read.
     """
 
-    def __init__(self, values, patch_meta: tuple, patch_size: int):
-        v = np.ascontiguousarray(np.asarray(values, dtype=np.float64))
-        if v.size and float(v.min()) < 0.0:
-            raise ValueError("banding map values must be non-negative")
-        v.flags.writeable = False
+    def __init__(self, hvs: tuple, patch_meta: tuple, patch_size: int, shape: tuple):
         self.patch_meta, self.patch_size = patch_meta, patch_size
-        self._shape, self._hvs, self._values = v.shape, None, v
-
-    @classmethod
-    def _from_tiles(cls, hvs: tuple, patch_meta: tuple, patch_size: int, shape: tuple):
-        """The tile form: hvs[i] is patch i's gradient map, or None if the
-        patch is not banded."""
-        bm = cls.__new__(cls)
-        bm.patch_meta, bm.patch_size = patch_meta, patch_size
-        bm._shape, bm._hvs, bm._values = shape, hvs, None
-        return bm
+        self._shape, self._hvs, self._values = shape, hvs, None
 
     @property
     def values(self) -> np.ndarray:
-        """The full-frame map, read-only; the tile form builds it once."""
+        """The full-frame map, read-only, built once."""
         if self._values is None:
             values = np.zeros(self._shape)
             n = self.patch_size
@@ -73,12 +61,8 @@ class BandingMap:
         return self._values
 
     def _patch(self, meta: PatchMeta) -> np.ndarray | None:
-        """One patch's N x N map values; None for a patch that the tile
-        form holds no map for (its values are all zero)."""
-        if self._hvs is None:
-            x, y = meta.origin
-            n = self.patch_size
-            return self._values[y : y + n, x : x + n]
+        """One patch's N x N map values; None for a non-banded patch (its
+        values are all zero)."""
         hv = self._hvs[meta.index]
         return None if hv is None else meta.weight * np.abs(hv)
 
@@ -111,7 +95,7 @@ class QualityScore:
 def banding_map(
     grid: PatchGrid, labels, weights: MaskWeights, hfms
 ) -> BandingMap:
-    """The per-pixel visibility field from per-patch pieces, in tile form.
+    """The per-pixel visibility field from per-patch pieces.
 
     hfms[i] is read only for a banded patch i; the entry of a non-banded
     patch may be None.  Patch i's values are weights.w[i] * |hfms[i]|.
@@ -129,7 +113,7 @@ def banding_map(
                 raise ValueError(f"hfm {i} shape {hv.shape} != patch size {n}")
         hvs.append(hv)
         meta.append(PatchMeta(i, origin, labels[i], float(weights.w[i])))
-    return BandingMap._from_tiles(
+    return BandingMap(
         tuple(hvs), tuple(meta), n, (grid.image_height, grid.image_width)
     )
 

@@ -64,16 +64,6 @@ def _mean_sd(scores) -> tuple:
     return mean, sd
 
 
-def grubbs_statistic(scores) -> float:
-    """Max |score - mean| / sample SD; zero-variance samples give 0."""
-    if len(scores) < 3:
-        raise ValueError("need at least 3 scores")
-    mean, sd = _mean_sd(scores)
-    if sd == 0.0:
-        return 0.0
-    return max(abs(s - mean) for s in scores) / sd
-
-
 @functools.lru_cache(maxsize=1024)
 def grubbs_threshold(n: int, sig_alpha: float = 0.05) -> float:
     """Critical value of the two-sided test for a sample of size n.

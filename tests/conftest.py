@@ -33,6 +33,13 @@ def quantized_ramp_patch(n=64, levels=4, horizontal=True):
 SQ2 = np.sqrt(2.0)
 
 
+def extract(grid, arr, k):
+    """View of the grid's patch k out of a (h, w) array."""
+    x, y = grid.patches[k]
+    n = grid.patch_size
+    return arr[y : y + n, x : x + n]
+
+
 def luma_reference(img):
     """The per-pixel luma formula on whole-frame float64 planes."""
     if img.channels == 3:
@@ -62,6 +69,18 @@ def sf_reference(patch):
     cs = float(((patch[:, 1:] - patch[:, :-1]) ** 2).sum()) / (n * n)
     rs = float(((patch[1:, :] - patch[:-1, :]) ** 2).sum()) / (n * n)
     return math.sqrt(cs), math.sqrt(rs), math.sqrt(cs + rs)
+
+
+def train_val(samples, seed):
+    """(train, val) lists: the samples shuffled by seed, cut 0.8 / 0.1 with
+    the last tenth held out."""
+    order = np.random.default_rng(seed).permutation(len(samples))
+    n_train = int(round(0.8 * len(samples)))
+    n_val = int(round(0.1 * len(samples)))
+    return (
+        [samples[i] for i in order[:n_train]],
+        [samples[i] for i in order[n_train : n_train + n_val]],
+    )
 
 
 def simpson_integral(fn, lo, hi, n=20000):

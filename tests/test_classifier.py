@@ -16,8 +16,9 @@ from bandgauge.classifier import (
     WeightChecksumError,
     WeightFormatError,
     WeightVersionError,
-    _conv_backward,
     _conv_forward,
+    _conv_input_grad,
+    _conv_param_grads,
     _rebuild,
     bce_loss,
     forward_batch,
@@ -31,7 +32,7 @@ from bandgauge.freq import HighFreqMap, LowFreqMap, PwsConfig, sobel_hfm
 from bandgauge.imgcore import Label, PatchLabel, PlanarImage
 from bandgauge.pipeline import RunConfig, score_image
 from bandgauge.sfmask import spatial_frequency
-from conftest import quantized_ramp_patch
+from conftest import quantized_ramp_patch, train_val
 
 
 def tiny_params(patch=8, widths=(2, 3, 4), fc=8, seed=0, dtype=np.float64):
@@ -228,7 +229,8 @@ def test_conv_matches_oracle(case, seed):
     got, cache = _conv_forward(x, wt, b)
     dout = draw(want.shape)
     pairs = [(got, want)]
-    pairs += zip(_conv_backward(dout, wt, cache), oracle_conv_backward(dout, wt, want_cache))
+    grads = (_conv_input_grad(dout, wt, cache), *_conv_param_grads(dout, cache))
+    pairs += zip(grads, oracle_conv_backward(dout, wt, want_cache))
     for g, e in pairs:
         assert g.shape == e.shape and g.dtype == np.dtype(dtype)
         if dtype == "float32":
@@ -307,7 +309,7 @@ def test_initial_bce_near_ln2(rng):
 def test_single_class_rejected():
     samples = toy_separable_set(10)[0::2]  # all banded
     with pytest.raises(ValueError):
-        train(samples, TrainConfig(epochs=1, patch_size=16))
+        train(samples, TrainConfig(epochs=1, patch_size=16), val_samples=samples)
 
 
 def test_toy_set_reaches_full_train_accuracy():
@@ -321,7 +323,8 @@ def test_toy_set_reaches_full_train_accuracy():
         widths=(4, 6, 8),
         fc_width=16,
     )
-    params, history = train(samples, cfg)
+    tr, va = train_val(samples, cfg.seed)
+    params, history = train(tr, cfg, val_samples=va)
     h = np.stack([s.hfm.values for s in samples])
     l = np.stack([s.lfm.values for s in samples])
     y = np.array([s.label.is_banded for s in samples])
@@ -341,7 +344,8 @@ def test_monotone_learnability_first_epochs():
         widths=(4, 6, 8),
         fc_width=16,
     )
-    _, history = train(samples, cfg)
+    tr, va = train_val(samples, cfg.seed)
+    _, history = train(tr, cfg, val_samples=va)
     accs = [h.val_acc for h in history]
     assert accs == sorted(accs)
 
@@ -362,10 +366,9 @@ def test_no_signal_stays_at_class_prior():
         widths=(2, 3, 4),
         fc_width=8,
     )
-    params, history = train(samples, cfg)
-    rng_order = np.random.default_rng(cfg.seed).permutation(100)
-    val_idx = rng_order[80:90]
-    val_banded = np.array([samples[i].label.is_banded for i in val_idx])
+    tr, va = train_val(samples, cfg.seed)
+    params, history = train(tr, cfg, val_samples=va)
+    val_banded = np.array([s.label.is_banded for s in va])
     prior = max(val_banded.mean(), 1.0 - val_banded.mean())
     assert history[-1].val_acc == pytest.approx(prior)
 
@@ -381,8 +384,9 @@ def test_seed_reproducibility(tmp_path):
         widths=(2, 3, 4),
         fc_width=8,
     )
-    p1, _ = train(samples, cfg)
-    p2, _ = train(samples, cfg)
+    tr, va = train_val(samples, cfg.seed)
+    p1, _ = train(tr, cfg, val_samples=va)
+    p2, _ = train(tr, cfg, val_samples=va)
     f1, f2 = tmp_path / "a.bgw", tmp_path / "b.bgw"
     save_params(p1, f1)
     save_params(p2, f2)
@@ -401,8 +405,9 @@ def test_divergence_detected():
         widths=(2, 3, 4),
         fc_width=8,
     )
+    tr, va = train_val(samples, cfg.seed)
     with pytest.raises(TrainingDivergedError):
-        train(samples, cfg)
+        train(tr, cfg, val_samples=va)
 
 
 def test_report_written(tmp_path):
@@ -412,7 +417,8 @@ def test_report_written(tmp_path):
         patch_size=8, widths=(2, 3, 4), fc_width=8,
     )
     report = tmp_path / "curve.csv"
-    train(samples, cfg, report_path=report)
+    tr, va = train_val(samples, cfg.seed)
+    train(tr, cfg, val_samples=va, report_path=report)
     lines = report.read_text().strip().splitlines()
     assert lines[0] == "epoch,train_loss,val_loss,val_acc"
     assert len(lines) == 3
@@ -454,7 +460,8 @@ def test_trained_model_separates_ramp_from_noise():
         learning_rate=3e-3, batch_size=16, epochs=6, seed=3,
         patch_size=16, widths=(4, 6, 8), fc_width=16,
     )
-    params, _ = train(samples, cfg)
+    tr, va = train_val(samples, cfg.seed)
+    params, _ = train(tr, cfg, val_samples=va)
 
     ramp = quantized_ramp_patch(16, levels=4)
     noise = np.random.default_rng(99).random((16, 16))

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from bandgauge.evalharness import (
     _rankdata,
-    diversity_metrics,
     fit_logistic5,
     ftest_significance,
     krcc,
@@ -21,7 +20,7 @@ from bandgauge.evalharness import (
     srcc,
     threshold_search,
 )
-from conftest import f_cdf_by_integration, rgb_image
+from conftest import f_cdf_by_integration
 
 
 # --- naive reference implementations (oracles) ------------------------------------
@@ -517,28 +516,3 @@ def test_ftest_zero_variance_rejected():
     with pytest.raises(ValueError):
         ftest_significance(np.arange(10.0), np.zeros(10))
 
-
-# --- diversity metrics ----------------------------------------------------------------
-
-
-def test_diversity_constant_gray():
-    contrast, colorfulness, brightness = diversity_metrics(rgb_image(77, 77, 77))
-    assert contrast == 0.0
-    assert colorfulness == 0.0
-    assert brightness == pytest.approx(77.0)
-
-
-def test_diversity_pure_red():
-    _, colorfulness, _ = diversity_metrics(rgb_image(255, 0, 0))
-    assert colorfulness == pytest.approx(math.hypot(255.0, 127.5), rel=1e-12)
-    assert colorfulness == pytest.approx(285.1, abs=0.05)
-
-
-def test_diversity_checkerboard_brightness():
-    arr = np.zeros((8, 8, 3), dtype=np.uint8)
-    arr[::2, ::2] = 255
-    arr[1::2, 1::2] = 255
-    from bandgauge.imgcore import PlanarImage
-
-    _, _, brightness = diversity_metrics(PlanarImage.from_array(arr))
-    assert brightness == pytest.approx(127.5)

@@ -16,7 +16,7 @@ from bandgauge.freq import (
 )
 from bandgauge.imgcore import tile, to_luma
 from bandgauge.pipeline import RunConfig
-from conftest import SQ2, sobel_reference
+from conftest import SQ2, extract, sobel_reference
 
 
 def dense_direct_solve(i_arr, edges, alpha):
@@ -427,7 +427,7 @@ def _datagen_tiles():
             luma = to_luma(image).planes[0].astype(np.float64)
             grid = tile(image, 64)
             for k in range(len(grid)):
-                yield f"{kind}-d{depth}-{k}", grid.extract(luma, k)
+                yield f"{kind}-d{depth}-{k}", extract(grid, luma, k)
     noise = make_sample(SynthSpec("noise_texture", size=235, bit_depth=8, seed=1)).image
     yield "noise_texture-235", to_luma(noise).planes[0].astype(np.float64)
 

@@ -24,7 +24,7 @@ from bandgauge.imgcore import (
     to_luma,
     ycbcr420_to_rgb,
 )
-from conftest import gray_image, luma_reference, rgb_image
+from conftest import extract, gray_image, luma_reference, rgb_image
 
 
 # --- PlanarImage invariants -------------------------------------------------
@@ -488,7 +488,7 @@ def test_blocks_stream_the_grid_in_raster_order(case):
         # Runs of `size` tiles may cross grid rows; only the last is shorter.
         assert len(block) == min(size, len(grid) - start)
         for tile_values in block:
-            assert np.array_equal(tile_values, grid.extract(plane, k))
+            assert np.array_equal(tile_values, extract(grid, plane, k))
             k += 1
     assert k == len(grid)
 

@@ -28,7 +28,7 @@ from bandgauge.imgcore import (
 from bandgauge.pipeline import RunConfig, score_image
 from bandgauge.scoring import banding_map, pool_score
 from bandgauge.sfmask import SpatialFreqStats, mask_weights, sf_threshold
-from conftest import luma_reference, sf_reference, sobel_reference
+from conftest import extract, luma_reference, sf_reference, sobel_reference
 
 
 def score_image_per_tile(img, config, model=None):
@@ -37,7 +37,7 @@ def score_image_per_tile(img, config, model=None):
     n = config.patch_size
     luma = luma_reference(img).astype(np.float64)
     grid = tile(img, n)
-    tiles = [grid.extract(luma, k) for k in range(len(grid))]
+    tiles = [extract(grid, luma, k) for k in range(len(grid))]
     hfms = [HighFreqMap(sobel_reference(t)) for t in tiles]
     cf, rf, sf = (np.array(v) for v in zip(*map(sf_reference, tiles)))
     stats = SpatialFreqStats(cf, rf, sf, sf_threshold(sf))

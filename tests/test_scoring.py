@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from bandgauge.freq import HighFreqMap
 from bandgauge.imgcore import Label, PatchLabel, PlanarImage, tile
 from bandgauge.scoring import (
-    BandingMap,
     PatchMeta,
     _top_fraction_mean,
     banding_map,
@@ -61,8 +60,8 @@ def brute_force_pool(bm, p_percent):
 
 
 def banding_map_reference(grid, labels, weights, hfms):
-    """The map as one eager full frame: zeros, then w_i * |hfm| per banded
-    patch."""
+    """(frame, patch meta): the map as one eager full frame, zeros, then
+    w_i * |hfm| per banded patch."""
     values = np.zeros((grid.image_height, grid.image_width))
     meta = []
     n = grid.patch_size
@@ -71,16 +70,15 @@ def banding_map_reference(grid, labels, weights, hfms):
         if labels[i].is_banded:
             values[y : y + n, x : x + n] = w_i * np.abs(hfms[i].values)
         meta.append(PatchMeta(i, (x, y), labels[i], w_i))
-    return BandingMap(values, tuple(meta), n)
+    return values, tuple(meta)
 
 
-def pool_score_reference(bm, p_percent):
+def pool_score_reference(values, patch_meta, n, p_percent):
     """(q, per-patch scores) pooled from slices of the full frame."""
-    n = bm.patch_size
     scores = []
-    for meta in bm.patch_meta:
+    for meta in patch_meta:
         x, y = meta.origin
-        block = bm.values[y : y + n, x : x + n]
+        block = values[y : y + n, x : x + n]
         scores.append(_top_fraction_mean(block[block > 0.0], p_percent))
     return float(sum(scores) / len(scores)), scores
 
@@ -108,15 +106,14 @@ def test_tile_form_is_the_full_frame_bitwise(n, cols, rows, extra_w, extra_h, p,
         vals = np.floor(rng.random((n, n)) * 6.0) / 2.0  # zeros and ties
         hfms.append(HighFreqMap(vals) if label.is_banded else None)
     bm = banding_map(grid, labels, weights, hfms)
-    want = banding_map_reference(grid, labels, weights, hfms)
+    values, meta = banding_map_reference(grid, labels, weights, hfms)
     got = pool_score(bm, p)
-    want_q, want_scores = pool_score_reference(want, p)
+    want_q, want_scores = pool_score_reference(values, meta, n, p)
     assert list(got.per_patch_scores) == want_scores
     assert got.q.hex() == want_q.hex()
-    assert pool_score(want, p) == got  # the full-frame form pools alike
-    assert bm.patch_meta == want.patch_meta
-    assert (bm.width, bm.height) == (want.width, want.height)
-    assert bm.values.tobytes() == want.values.tobytes()
+    assert bm.patch_meta == meta
+    assert (bm.height, bm.width) == values.shape
+    assert bm.values.tobytes() == values.tobytes()
 
 
 def test_values_are_built_once_and_read_only(rng):
@@ -235,5 +232,10 @@ def test_map_to_image(rng):
 
 @pytest.mark.filterwarnings("error")
 def test_map_to_image_constant_map_renders_zeros():
-    img = map_to_image(BandingMap(np.full((4, 4), 2.0), (), 4))
+    # One tile, banded, with a constant gradient map: the whole map is 2.0.
+    grid = tile(PlanarImage.from_array(np.zeros((8, 8), dtype=np.uint8)), 8)
+    hfm = HighFreqMap(np.full((8, 8), 2.0))
+    bm = banding_map(grid, [BANDED], MaskWeights(np.ones(1), 1.5), [hfm])
+    assert bm.values.min() == bm.values.max() == 2.0
+    img = map_to_image(bm)
     assert (img.planes[0] == 0).all()

@@ -8,7 +8,6 @@ import pytest
 from bandgauge.subjective import (
     OutlierConfig,
     RatingSet,
-    grubbs_statistic,
     grubbs_threshold,
     mos,
     mos_pipeline,
@@ -29,26 +28,32 @@ def reference_threshold(n, alpha=0.05):
 
 
 def test_statistic_degenerate():
-    assert grubbs_statistic((10.0, 10.0, 10.0)) == 0.0
+    # Zero variance: the statistic is 0 and nothing is removed.
+    rs = RatingSet("img", (10.0,) * 5)
+    assert remove_outliers(rs, OutlierConfig(sd_multiplier=None)) == (rs.scores, ())
 
 
 def test_statistic_hand_value():
-    scores = (0.0, 0.0, 0.0, 0.0, 10.0)
-    want = 8.0 / math.sqrt(20.0)  # mean 2, sample sd sqrt(20)
-    assert grubbs_statistic(scores) == pytest.approx(want, rel=1e-12)
+    rs = RatingSet("img", (0.0, 0.0, 0.0, 0.0, 10.0))
+    g = 8.0 / math.sqrt(20.0)  # mean 2, sample sd sqrt(20): 1.789
+    assert g > grubbs_threshold(5, 0.05)  # 1.715
+    kept, removed = remove_outliers(rs, OutlierConfig(sd_multiplier=None))
+    assert kept == (0.0,) * 4 and removed == (10.0,)
+    # The SD gate compares the same statistic with sd_multiplier, which
+    # pins its value from both sides.
+    assert remove_outliers(rs, OutlierConfig(sd_multiplier=g * (1 - 1e-9)))[1] == (10.0,)
+    assert remove_outliers(rs, OutlierConfig(sd_multiplier=g * (1 + 1e-9)))[1] == ()
 
 
 def test_statistic_translation_invariant(rng):
-    scores = tuple(rng.uniform(0, 50, size=9))
-    shifted = tuple(s + 30.0 for s in scores)
-    assert grubbs_statistic(scores) == pytest.approx(
-        grubbs_statistic(shifted), rel=1e-9
-    )
-
-
-def test_statistic_needs_three():
-    with pytest.raises(ValueError):
-        grubbs_statistic((1.0, 2.0))
+    scores = list(rng.uniform(0, 10, size=8))
+    scores.insert(int(rng.integers(0, 9)), 50.0)
+    shifted = [s + 30.0 for s in scores]
+    cfg = OutlierConfig(sd_multiplier=None)
+    _, removed = remove_outliers(RatingSet("a", scores), cfg)
+    _, removed_shifted = remove_outliers(RatingSet("b", shifted), cfg)
+    assert removed  # the 50 at least
+    assert removed_shifted == tuple(shifted[scores.index(v)] for v in removed)
 
 
 def test_threshold_matches_published_table():
@@ -93,7 +98,8 @@ def test_small_sample_blocked_by_sd_gate():
     rs = RatingSet("img", (1.0, 1.0, 1.0, 1.0, 100.0))
     kept, removed = remove_outliers(rs, OutlierConfig())
     assert removed == ()
-    g = grubbs_statistic(rs.scores)
+    arr = np.array(rs.scores)
+    g = np.abs(arr - arr.mean()).max() / arr.std(ddof=1)
     assert g > grubbs_threshold(5, 0.05)  # Grubbs alone would have fired
     assert g < 2.5
 
