@@ -13,7 +13,6 @@ from .freq import HighFreqMap, LowFreqMap, PwsConfig, pws_energy, pws_lfm, sobel
 from .imgcore import (
     Label,
     PatchGrid,
-    PatchLabel,
     PlanarImage,
     load_image,
     rgb_to_ycbcr420,

@@ -17,6 +17,7 @@ enough to train on a laptop CPU in minutes.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import dataclass, replace
@@ -26,7 +27,7 @@ import numpy as np
 from .checks import check
 from .csvfile import write_rows
 from .freq import HighFreqMap, LowFreqMap
-from .imgcore import PatchLabel
+from .imgcore import Label
 
 
 class WeightFormatError(ValueError):
@@ -126,7 +127,7 @@ class TrainConfig:
 class PatchSample:
     hfm: HighFreqMap
     lfm: LowFreqMap
-    label: PatchLabel
+    label: Label
 
     def __post_init__(self):
         if self.hfm.values.shape != self.lfm.values.shape:
@@ -374,7 +375,7 @@ def loss_and_grads(params: DualNetParams, h_batch, l_batch, y):
     y = np.asarray(y, dtype=np.float64)
     logit, (feat, h1, r, cache_h, cache_l) = _net_forward(params, h_batch, l_batch)
     zl = logit.astype(np.float64)
-    loss = float(np.mean(np.logaddexp(0.0, zl) - y * zl))
+    loss = _bce(zl, y)
     bsz = len(y)
     dtype = params.head_w1.dtype
 
@@ -402,10 +403,14 @@ def loss_and_grads(params: DualNetParams, h_batch, l_batch, y):
 def bce_loss(params: DualNetParams, h_batch, l_batch, y) -> float:
     h_batch = _stack_maps(h_batch, params)
     l_batch = _stack_maps(l_batch, params)
-    y = np.asarray(y, dtype=np.float64)
     logit, _ = _net_forward(params, h_batch, l_batch, keep_caches=False)
-    zl = logit.astype(np.float64)
-    return float(np.mean(np.logaddexp(0.0, zl) - y * zl))
+    return _bce(logit, np.asarray(y, dtype=np.float64))
+
+
+def _bce(logit, y) -> float:
+    """Mean binary cross entropy of float64 labels y at these logits, in float64."""
+    z = np.asarray(logit, dtype=np.float64)
+    return float(np.mean(np.logaddexp(0.0, z) - y * z))
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +459,7 @@ def train(samples, cfg: TrainConfig, val_samples, report_path=None):
     params = init_params(
         cfg.patch_size, cfg.widths, cfg.fc_width, seed=cfg.seed
     )
-    tensors = [t.copy() for t in params.tensors()]
+    tensors = params.tensors()  # params' own arrays: each step updates them in place
     h_tr, l_tr, y_tr = _dataset_arrays(train_set, params)
     h_va, l_va, y_va = _dataset_arrays(val_set, params)
 
@@ -464,38 +469,33 @@ def train(samples, cfg: TrainConfig, val_samples, report_path=None):
     step = 0
 
     best_acc = -1.0
-    best_tensors = [t.copy() for t in tensors]
-    best_epoch = 0
+    best_tensors, best_epoch = None, 0
     history = []
 
     for epoch in range(1, cfg.epochs + 1):
         rng = np.random.default_rng([cfg.seed, epoch])
         order = rng.permutation(len(train_set))
         losses = []
-        cur = _rebuild(params, tensors)
         for s in range(0, len(order), cfg.batch_size):
             idx = order[s : s + cfg.batch_size]
-            loss, grads = loss_and_grads(cur, h_tr[idx], l_tr[idx], y_tr[idx])
+            loss, grads = loss_and_grads(params, h_tr[idx], l_tr[idx], y_tr[idx])
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, step {s // cfg.batch_size}"
                 )
             step += 1
-            for i, g in enumerate(grads):
-                adam_m[i] = b1 * adam_m[i] + (1 - b1) * g
-                adam_v[i] = b2 * adam_v[i] + (1 - b2) * g * g
-                mh = adam_m[i] / (1 - b1**step)
-                vh = adam_v[i] / (1 - b2**step)
-                tensors[i] = tensors[i] - (
-                    cfg.learning_rate * mh / (np.sqrt(vh) + eps)
-                ).astype(tensors[i].dtype)
-            cur = _rebuild(params, tensors)
+            for t, m, v, g in zip(tensors, adam_m, adam_v, grads):
+                m *= b1
+                m += (1 - b1) * g
+                v *= b2
+                v += (1 - b2) * g * g
+                mh = m / (1 - b1**step)
+                vh = v / (1 - b2**step)
+                t -= cfg.learning_rate * mh / (np.sqrt(vh) + eps)
             losses.append(loss)
-        val_logit, _ = _net_forward(cur, h_va, l_va, keep_caches=False)
-        val_zl = val_logit.astype(np.float64)
-        val_p = _sigmoid(val_zl)
-        val_loss = float(np.mean(np.logaddexp(0.0, val_zl) - y_va * val_zl))
-        val_acc = float(np.mean((val_p > 0.5) == (y_va > 0.5)))
+        val_zl = _net_forward(params, h_va, l_va, keep_caches=False)[0].astype(np.float64)
+        val_loss = _bce(val_zl, y_va)
+        val_acc = float(np.mean((_sigmoid(val_zl) > 0.5) == (y_va > 0.5)))
         history.append(EpochStats(epoch, float(np.mean(losses)), val_loss, val_acc))
         if val_acc > best_acc:
             best_acc = val_acc
@@ -555,8 +555,25 @@ def save_params(params: DualNetParams, path) -> None:
         fh.write(body + struct.pack("<I", crc))
 
 
+def _tensor_shapes(widths, fc_width) -> list:
+    """The shapes of init_params' tensors, in canonical order, worked out
+    without allocating them (a weight file's round trip checks the two agree)."""
+    shapes = []
+    for _ in range(2):
+        in_ch = 1
+        for out_ch in widths:
+            shapes += [(out_ch, in_ch, 3, 3), (out_ch,)]
+            in_ch = out_ch
+    feat_dim = 2 * (widths[0] + widths[-1])
+    return shapes + [(feat_dim, fc_width), (fc_width,), (fc_width, 1), (1,)]
+
+
 def load_params(path) -> DualNetParams:
-    """Read and validate a weight container written by save_params."""
+    """Read and validate a weight container written by save_params.
+
+    The shape table must match the shapes the header's architecture implies
+    before any tensor is allocated.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 9 or blob[:4] != _MAGIC:
@@ -567,33 +584,38 @@ def load_params(path) -> DualNetParams:
     stored_crc = struct.unpack("<I", blob[-4:])[0] if len(blob) >= 13 else None
     if stored_crc is None or zlib.crc32(blob[:-4]) & 0xFFFFFFFF != stored_crc:
         raise WeightChecksumError("checksum mismatch (file corrupt or truncated)")
-    pos = 5
-    patch_size, fc_width, n_conv = struct.unpack_from("<IIB", blob, pos)
-    pos += 9
-    widths = struct.unpack_from(f"<{n_conv}I", blob, pos)
-    pos += 4 * n_conv
-    seed, epochs = struct.unpack_from("<qI", blob, pos)
-    pos += 12
-    (n_tensors,) = struct.unpack_from("<I", blob, pos)
-    pos += 4
-    shapes = []
-    for _ in range(n_tensors):
-        (ndim,) = struct.unpack_from("<B", blob, pos)
-        pos += 1
-        shape = struct.unpack_from(f"<{ndim}I", blob, pos)
-        pos += 4 * ndim
-        shapes.append(shape)
-    tensors = []
-    for shape in shapes:
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=pos)
-        pos += 4 * count
-        tensors.append(arr.reshape(shape).copy())
-    if pos != len(blob) - 4:
-        raise WeightShapeError("payload length disagrees with shape table")
-    ref = init_params(patch_size, widths, fc_width, seed=0)
-    expected = [t.shape for t in ref.tensors()]
-    if [tuple(s) for s in shapes] != [tuple(s) for s in expected]:
+    body = memoryview(blob)[:-4]
+    try:
+        pos = 5
+        patch_size, fc_width, n_conv = struct.unpack_from("<IIB", body, pos)
+        pos += 9
+        widths = struct.unpack_from(f"<{n_conv}I", body, pos)
+        pos += 4 * n_conv
+        seed, epochs = struct.unpack_from("<qI", body, pos)
+        pos += 12
+        (n_tensors,) = struct.unpack_from("<I", body, pos)
+        pos += 4
+        shapes = []
+        for _ in range(n_tensors):
+            (ndim,) = struct.unpack_from("<B", body, pos)
+            pos += 1
+            shapes.append(struct.unpack_from(f"<{ndim}I", body, pos))
+            pos += 4 * ndim
+    except struct.error as exc:
+        raise WeightFormatError(f"header ends early: {exc}") from None
+    if patch_size < 8 or n_conv < 1 or min(widths) < 1 or fc_width < 1:
+        raise WeightFormatError(
+            f"header declares patch size {patch_size}, widths {widths} and fc width {fc_width}"
+        )
+    if shapes != _tensor_shapes(widths, fc_width):
         raise WeightShapeError("tensor shapes disagree with declared architecture")
-    out = _rebuild(ref, tensors)
+    counts = [math.prod(shape) for shape in shapes]
+    if pos + 4 * sum(counts) != len(body):
+        raise WeightShapeError("payload length disagrees with shape table")
+    tensors = []
+    for shape, count in zip(shapes, counts):
+        arr = np.frombuffer(body, dtype="<f4", count=count, offset=pos)
+        tensors.append(arr.reshape(shape).copy())
+        pos += 4 * count
+    out = _rebuild(init_params(patch_size, widths, fc_width, seed=0), tensors)
     return replace(out, seed=seed, epochs_trained=epochs)

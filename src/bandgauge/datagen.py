@@ -28,7 +28,6 @@ from .imgcore import (
     BLOCK_PIXELS,
     Label,
     PatchGrid,
-    PatchLabel,
     PlanarImage,
     load_image,
     save_image,
@@ -208,7 +207,7 @@ def label_patches(sample: GeneratedSample, grid: PatchGrid):
     mask = sample.banded_mask[: rows * n, : cols * n]
     counts = mask.reshape(rows, n, cols, n).sum(axis=(1, 3))
     banded = counts.ravel() / float(n * n) > 0.30
-    return tuple(PatchLabel(Label.BANDED if b else Label.NON_BANDED, 1.0) for b in banded)
+    return tuple(Label.BANDED if b else Label.NON_BANDED for b in banded)
 
 
 @dataclass(frozen=True)
@@ -286,7 +285,7 @@ def make_dataset(
                 x, y = grid.patches[k]
                 buckets[assigned[i]].append(PatchSample(HighFreqMap(h), lfm, labels[k]))
                 manifest.append(
-                    ManifestRow(name, x, y, patch_size, labels[k].value, assigned[i])
+                    ManifestRow(name, x, y, patch_size, labels[k], assigned[i])
                 )
     if out_dir is not None:
         write_manifest(manifest, os.path.join(out_dir, "manifest.csv"))
@@ -376,8 +375,7 @@ def load_dataset(manifest_path, pws_cfg: PwsConfig | None = None):
                 f" leaves {r.image_path}"
             )
         hv, lfms = tile_maps(patch[None].astype(np.float64), pws_cfg)
-        ps = PatchSample(HighFreqMap(hv[0]), lfms[0], PatchLabel(r.label, 1.0))
-        buckets[r.split].append(ps)
+        buckets[r.split].append(PatchSample(HighFreqMap(hv[0]), lfms[0], r.label))
     return DatasetBundle(
         tuple(buckets["train"]),
         tuple(buckets["val"]),

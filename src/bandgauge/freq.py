@@ -35,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checks import check
-from .imgcore import PlanarImage
 
 _SQ2 = np.sqrt(2.0)
 SOBEL_X = np.array([[-1.0, 0.0, 1.0], [-_SQ2, 0.0, _SQ2], [-1.0, 0.0, 1.0]])
@@ -123,10 +122,6 @@ class PwsConfig:
 
 
 def _as_plane(img) -> np.ndarray:
-    if isinstance(img, PlanarImage):
-        if img.channels != 1 or not img.is_float:
-            raise ValueError("expected a 1-channel float image")
-        return img.planes[0].astype(np.float64)
     arr = np.asarray(img, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError("expected a 2-D array")
@@ -134,14 +129,13 @@ def _as_plane(img) -> np.ndarray:
 
 
 def sobel_hfm(patch) -> HighFreqMap:
-    """Gradient-magnitude map of a 1-channel float patch, or of a stack of
-    patches over the last two axes, each with its own replicated border."""
-    arr = _as_plane(patch) if isinstance(patch, PlanarImage) else np.asarray(patch, np.float64)
+    """Gradient-magnitude map of a 2-D float array, or of a stack of them
+    over the last two axes, each with its own replicated border."""
+    arr = np.ascontiguousarray(patch, dtype=np.float64)
     if arr.ndim < 2:
         raise ValueError("expected an array of at least 2 dimensions")
     if min(arr.shape[-2:]) < 3:
         raise ValueError("patch must be at least 3x3")
-    arr = np.ascontiguousarray(arr)
     # Opposite kernel taps are differenced first so constants cancel exactly.
     gx = _smooth_across(_central_difference(arr, -1), -2)
     gy = _smooth_across(_central_difference(arr, -2), -1)

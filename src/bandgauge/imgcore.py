@@ -28,27 +28,14 @@ class ImageFormatError(ValueError):
 
 
 class Label(enum.Enum):
+    """A patch's ground-truth verdict; the value is its manifest string."""
+
     BANDED = "banded"
     NON_BANDED = "non_banded"
 
-
-@dataclass(frozen=True)
-class PatchLabel:
-    """Banded / non-banded verdict with a confidence in [0, 1].
-
-    Ground-truth labels carry confidence 1.0.
-    """
-
-    value: Label
-    confidence: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence {self.confidence} outside [0, 1]")
-
     @property
     def is_banded(self) -> bool:
-        return self.value is Label.BANDED
+        return self is Label.BANDED
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

@@ -2,16 +2,19 @@
 
 The classifier backend is either a trained dual-branch model or the
 handcrafted baseline rule; in both cases the banding map and the pooled
-severity score come out of the same masking and pooling path.  The score is
-pooled from the banded tiles' maps; no full-frame map is built unless
-``result.bmap.values`` is read.
+severity score come out of the same masking and pooling path.  A tile's
+verdict is one number, its probability (the baseline rule's is 0.0 or 1.0);
+``banding_map`` and ``pool_score`` take the per-tile record as three
+sequences: the probabilities, the mask weights and the banded tiles' Sobel
+maps.  The score is pooled from those maps; no full-frame map is built
+unless ``result.bmap.values`` is read.
 Every tile gets its own maps.  One per-block function takes a run of
 consecutive tiles in raster order to its Sobel map and one probability per
-tile; the baseline rule's verdict is 0.0 or 1.0.  The model's maps come from
-``tile_maps``, which also makes datagen's training maps.  ``PatchGrid.blocks``
-copies each run out of the float32 luma plane (a run may cross grid rows), so
-no whole-frame float64 copy of it is made.  The baseline rule runs on the
-calling thread over runs of ``imgcore.BLOCK_PIXELS // N^2`` tiles.  A model
+tile.  The model's maps come from ``tile_maps``, which also makes datagen's
+training maps.  ``PatchGrid.blocks`` copies each run out of the float32 luma
+plane (a run may cross grid rows), so no whole-frame float64 copy of it is
+made.  The baseline rule runs on the calling thread over runs of
+``imgcore.BLOCK_PIXELS // N^2`` tiles.  A model
 runs over forward blocks of ``classifier._BLOCK_PIXELS // N^2`` tiles, the
 grouping that ``forward_batch`` gives the whole grid; each block, with its
 ``pws_lfm`` per tile and its ``forward_batch``, is one task on a pool of
@@ -33,8 +36,8 @@ import numpy as np
 
 from .checks import check
 from .classifier import _BLOCK_PIXELS, BaselineConfig, DualNetParams, forward_batch
-from .freq import HighFreqMap, LowFreqMap, PwsConfig, pws_lfm, sobel_hfm
-from .imgcore import BLOCK_PIXELS, Label, PatchLabel, PlanarImage, tile, to_luma
+from .freq import LowFreqMap, PwsConfig, pws_lfm, sobel_hfm
+from .imgcore import BLOCK_PIXELS, PlanarImage, tile, to_luma
 from .scoring import BandingMap, QualityScore, banding_map, pool_score
 from .sfmask import grid_stats, mask_weights
 from .sfmask import spatial_frequency  # noqa: F401 - wrapped by name in perfbench/tracer.py
@@ -82,7 +85,7 @@ class ImageResult:
 
     @property
     def banded_patch_count(self) -> int:
-        return sum(1 for m in self.bmap.patch_meta if m.label.is_banded)
+        return np.count_nonzero(self.bmap.banded)
 
 
 def score_image(
@@ -97,15 +100,10 @@ def score_image(
     luma = to_luma(img).planes[0]
     grid = tile(img, n)
     stats = grid_stats(luma, grid)
-    banded, confidence, hfms = _classify(luma, grid, stats, config, model)
+    prob, hvs = _classify(luma, grid, stats, config, model)
     del luma  # not read again; freed before the map is pooled
-    labels = [
-        PatchLabel(Label.BANDED if b else Label.NON_BANDED, float(c))
-        for b, c in zip(banded, confidence)
-    ]
-
     weights = mask_weights(stats, n, config.gamma)
-    bm = banding_map(grid, labels, weights, hfms)
+    bm = banding_map(grid, prob, weights, hvs)
     qs = pool_score(bm, config.p_percent)
     return ImageResult(qs, bm)
 
@@ -117,10 +115,9 @@ def tile_maps(block, pws: PwsConfig) -> tuple[np.ndarray, list[LowFreqMap]]:
 
 
 def _classify(luma, grid, stats, config: RunConfig, model):
-    """(banded, confidence, hfms) per tile, streamed over runs of tiles.
-
-    Only the maps of banded tiles are kept, since banding_map reads no other.
-    """
+    """(prob, hvs) per tile, streamed over runs of tiles: the probabilities,
+    and each banded tile's (N, N) Sobel map (None for any other tile, since
+    banding_map reads no other)."""
 
     def score_block(item):
         """(start, Sobel maps, probabilities) of one run of tiles."""
@@ -144,21 +141,22 @@ def _classify(luma, grid, stats, config: RunConfig, model):
 
         pool = ThreadPoolExecutor(config.threads)
         results = (f.result() for f in _in_order(pool, score_block, blocks, 2 * config.threads))
-    probs = np.empty(len(grid))
-    hfms = [None] * len(grid)
+    prob = np.empty(len(grid))
+    hvs = [None] * len(grid)
     try:
         for start, hv, p in results:
-            probs[start : start + len(p)] = p
+            prob[start : start + len(p)] = p
             banded = np.flatnonzero(p > 0.5)
             # A view of hv holds the whole run; copy the banded tiles out
             # unless the run is all kept anyway.
             kept = hv if len(banded) == len(hv) else hv[banded]
+            kept.flags.writeable = False
             for j, t in zip(banded, kept):
-                hfms[start + j] = HighFreqMap(t)
+                hvs[start + j] = t
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-    return probs > 0.5, np.maximum(probs, 1.0 - probs), hfms
+    return prob, hvs
 
 
 def _in_order(pool, fn, items, window: int):

@@ -7,9 +7,11 @@ zero.  The image score averages, over all patches, the mean of each patch's
 top-p% non-zero map values; perceived quality is dominated by the worst
 regions, so "top" means largest.
 
-Scoring needs the map only patch by patch, so ``banding_map`` keeps the
-banded patches' gradient maps and ``pool_score`` weights each one as it
-pools it.  The full-frame map is built on the first read of
+A tile's record is one entry in each of three per-tile sequences: its
+probability (banded when above 0.5; the baseline rule's is 0.0 or 1.0), its
+mask weight, and, for a banded tile only, its gradient map.  Scoring needs
+the map only tile by tile, so ``pool_score`` weights each banded tile's map
+as it pools it.  The full-frame map is built on the first read of
 ``BandingMap.values`` (``detect`` reads it) and cached.
 """
 
@@ -20,63 +22,55 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imgcore import PatchGrid, PatchLabel, PlanarImage
+from .imgcore import PatchGrid, PlanarImage
 from .sfmask import MaskWeights
 
 
-@dataclass(frozen=True)
-class PatchMeta:
-    index: int
-    origin: tuple
-    label: PatchLabel
-    weight: float
-
-
 class BandingMap:
-    """Per-pixel banding visibility plus per-patch bookkeeping.
+    """Per-pixel banding visibility, held per tile of a grid.
 
-    hvs[i] is patch i's gradient map, or None if the patch is not banded;
-    patch i's map values are patch_meta[i].weight * |hvs[i]|.  ``values``
-    assembles the full frame of the given (height, width) shape on its
-    first read.
+    prob[k] is tile k's banding probability and weight[k] its mask weight;
+    hvs[k] is a banded tile's (N, N) gradient map and None for any other.
+    Tile k's map values are weight[k] * |hvs[k]| if it is banded, zeros
+    otherwise.  ``values`` assembles the full frame on its first read.
     """
 
-    def __init__(self, hvs: tuple, patch_meta: tuple, patch_size: int, shape: tuple):
-        self.patch_meta, self.patch_size = patch_meta, patch_size
-        self._shape, self._hvs, self._values = shape, hvs, None
+    def __init__(self, grid: PatchGrid, prob: np.ndarray, weight: np.ndarray, hvs: tuple):
+        self.grid, self.prob, self.weight, self.hvs = grid, prob, weight, hvs
+        self._values = None
+
+    @property
+    def banded(self) -> np.ndarray:
+        return self.prob > 0.5
 
     @property
     def values(self) -> np.ndarray:
         """The full-frame map, read-only, built once."""
         if self._values is None:
-            values = np.zeros(self._shape)
-            n = self.patch_size
-            for meta in self.patch_meta:
-                block = self._patch(meta)
-                if block is not None:
-                    x, y = meta.origin
-                    values[y : y + n, x : x + n] = block
+            values = np.zeros((self.height, self.width))
+            n = self.grid.patch_size
+            for k in np.flatnonzero(self.banded):
+                x, y = self.grid.patches[k]
+                values[y : y + n, x : x + n] = self._patch(k)
             values.flags.writeable = False
             self._values = values
         return self._values
 
-    def _patch(self, meta: PatchMeta) -> np.ndarray | None:
-        """One patch's N x N map values; None for a non-banded patch (its
-        values are all zero)."""
-        hv = self._hvs[meta.index]
-        return None if hv is None else meta.weight * np.abs(hv)
+    def _patch(self, k) -> np.ndarray:
+        """Banded tile k's N x N map values."""
+        return self.weight[k] * np.abs(self.hvs[k])
 
     @property
     def total_patches(self) -> int:
-        return len(self.patch_meta)
+        return len(self.grid)
 
     @property
     def width(self) -> int:
-        return self._shape[1]
+        return self.grid.image_width
 
     @property
     def height(self) -> int:
-        return self._shape[0]
+        return self.grid.image_height
 
 
 @dataclass(frozen=True)
@@ -92,30 +86,27 @@ class QualityScore:
             raise ValueError("score must be non-negative")
 
 
-def banding_map(
-    grid: PatchGrid, labels, weights: MaskWeights, hfms
-) -> BandingMap:
-    """The per-pixel visibility field from per-patch pieces.
+def banding_map(grid: PatchGrid, prob, weights: MaskWeights, hvs) -> BandingMap:
+    """The per-pixel visibility field from per-tile arrays.
 
-    hfms[i] is read only for a banded patch i; the entry of a non-banded
-    patch may be None.  Patch i's values are weights.w[i] * |hfms[i]|.
+    prob[k] must lie in [0, 1].  hvs[k] is read only for a banded tile k
+    (prob[k] > 0.5), and must then be an (N, N) array; the entry of any other
+    tile may be None.
     """
     k = len(grid)
-    if len(labels) != k or len(weights.w) != k or len(hfms) != k:
+    prob = np.array(prob, dtype=np.float64)
+    if len(prob) != k or len(weights.w) != k or len(hvs) != k:
         raise ValueError("per-patch collections must align with the grid")
-    meta, hvs = [], []
+    if not np.all((prob >= 0.0) & (prob <= 1.0)):
+        raise ValueError("probabilities must be finite and within [0, 1]")
+    prob.flags.writeable = False
+    kept = [None] * k
     n = grid.patch_size
-    for i, origin in enumerate(grid.patches):
-        hv = None
-        if labels[i].is_banded:
-            hv = hfms[i].values
-            if hv.shape != (n, n):
-                raise ValueError(f"hfm {i} shape {hv.shape} != patch size {n}")
-        hvs.append(hv)
-        meta.append(PatchMeta(i, origin, labels[i], float(weights.w[i])))
-    return BandingMap(
-        tuple(hvs), tuple(meta), n, (grid.image_height, grid.image_width)
-    )
+    for i in np.flatnonzero(prob > 0.5):
+        kept[i] = hvs[i]
+        if kept[i].shape != (n, n):
+            raise ValueError(f"hfm {i} shape {kept[i].shape} != patch size {n}")
+    return BandingMap(grid, prob, weights.w, tuple(kept))
 
 
 def _top_fraction_mean(nonzero: np.ndarray, p_percent: float) -> float:
@@ -137,13 +128,10 @@ def pool_score(bm: BandingMap, p_percent: float = 80.0) -> QualityScore:
     """
     if not 0.0 < p_percent <= 100.0:
         raise ValueError("p_percent must lie in (0, 100]")
-    scores = []
-    for meta in bm.patch_meta:
-        block = bm._patch(meta)
-        if block is None:
-            scores.append(0.0)
-        else:
-            scores.append(_top_fraction_mean(block[block > 0.0], p_percent))
+    scores = [0.0] * bm.total_patches
+    for k in np.flatnonzero(bm.banded):
+        block = bm._patch(k)
+        scores[k] = _top_fraction_mean(block[block > 0.0], p_percent)
     q = float(sum(scores) / len(scores)) if scores else 0.0
     return QualityScore(q, p_percent, tuple(scores))
 

@@ -18,10 +18,8 @@ from .imgcore import BLOCK_PIXELS, PatchGrid
 
 @dataclass(frozen=True)
 class SpatialFreqStats:
-    """Per-patch (cf, rf, sf) arrays plus the grid-level threshold."""
+    """Per-patch spatial frequencies plus the grid-level threshold."""
 
-    cf: np.ndarray
-    rf: np.ndarray
     sf: np.ndarray
     epsilon: float
 
@@ -34,7 +32,6 @@ class MaskWeights:
     """Per-patch visibility weights, all >= 1."""
 
     w: np.ndarray
-    gamma: float
 
     def __post_init__(self):
         w = np.asarray(self.w, dtype=np.float64)
@@ -91,12 +88,11 @@ def mask_weight(sf: float, epsilon: float, n: int, gamma: float = 1.5) -> float:
 def grid_stats(luma: np.ndarray, grid: PatchGrid) -> SpatialFreqStats:
     """Spatial-frequency statistics for every patch of a tiled luma plane."""
     size = max(1, BLOCK_PIXELS // grid.patch_size**2)
-    stats = [spatial_frequency(block) for _, block in grid.blocks(luma, size)]
-    cfs, rfs, sfs = (np.concatenate(v) for v in zip(*stats))
-    return SpatialFreqStats(cfs, rfs, sfs, sf_threshold(sfs))
+    sfs = np.concatenate([spatial_frequency(block)[2] for _, block in grid.blocks(luma, size)])
+    return SpatialFreqStats(sfs, sf_threshold(sfs))
 
 
 def mask_weights(stats: SpatialFreqStats, n: int, gamma: float = 1.5) -> MaskWeights:
     """Weights for every patch of a grid."""
     w = np.array([mask_weight(sf, stats.epsilon, n, gamma) for sf in stats.sf])
-    return MaskWeights(w, gamma)
+    return MaskWeights(w)

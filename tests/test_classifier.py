@@ -1,6 +1,8 @@
 """Dual-branch classifier: forward, gradients, training, serialization."""
 
 import math
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -29,7 +31,8 @@ from bandgauge.classifier import (
     train,
 )
 from bandgauge.freq import HighFreqMap, LowFreqMap, PwsConfig, sobel_hfm
-from bandgauge.imgcore import Label, PatchLabel, PlanarImage
+from bandgauge.cli import main
+from bandgauge.imgcore import Label, PlanarImage, save_image
 from bandgauge.pipeline import RunConfig, score_image
 from bandgauge.sfmask import spatial_frequency
 from conftest import quantized_ramp_patch, train_val
@@ -52,7 +55,7 @@ def make_sample(hfm_arr, lfm_arr, banded):
     return PatchSample(
         HighFreqMap(np.abs(hfm_arr)),
         LowFreqMap(lfm_arr),
-        PatchLabel(Label.BANDED if banded else Label.NON_BANDED, 1.0),
+        Label.BANDED if banded else Label.NON_BANDED,
     )
 
 
@@ -427,18 +430,16 @@ def test_report_written(tmp_path):
 # --- classification through score_image -------------------------------------------
 
 
-def one_tile_labels(patch, model=None):
-    """The PatchLabel score_image gives a single-tile image of `patch`."""
+def one_tile_prob(patch, model=None):
+    """The probability score_image gives a single-tile image of `patch`."""
     config = RunConfig(patch_size=patch.shape[0], pws=PwsConfig(max_iters=5))
     res = score_image(PlanarImage.from_array(patch), config, model)
     assert res.bmap.total_patches == 1
-    return res.bmap.patch_meta[0].label
+    return res.bmap.prob[0]
 
 
 def test_tie_is_non_banded():
-    label = one_tile_labels(np.full((8, 8), 0.5), zeroed(tiny_params(patch=8)))
-    assert label.value is Label.NON_BANDED
-    assert label.confidence == 0.5
+    assert one_tile_prob(np.full((8, 8), 0.5), zeroed(tiny_params(patch=8))) == 0.5
 
 
 def test_trained_model_separates_ramp_from_noise():
@@ -454,8 +455,7 @@ def test_trained_model_separates_ramp_from_noise():
             banded = False
         hfm = sobel_hfm(patch)
         lfm = LowFreqMap(patch)  # identity stand-in keeps this test fast
-        samples.append(PatchSample(hfm, lfm, PatchLabel(
-            Label.BANDED if banded else Label.NON_BANDED, 1.0)))
+        samples.append(PatchSample(hfm, lfm, Label.BANDED if banded else Label.NON_BANDED))
     cfg = TrainConfig(
         learning_rate=3e-3, batch_size=16, epochs=6, seed=3,
         patch_size=16, widths=(4, 6, 8), fc_width=16,
@@ -475,7 +475,7 @@ def test_trained_model_separates_ramp_from_noise():
 
 
 def test_baseline_constant_patch():
-    assert one_tile_labels(np.full((16, 16), 0.5)).value is Label.NON_BANDED
+    assert one_tile_prob(np.full((16, 16), 0.5)) == 0.0
 
 
 def test_baseline_noise_patch(rng):
@@ -484,7 +484,7 @@ def test_baseline_noise_patch(rng):
     _, _, sf = spatial_frequency(patch)
     assert sf >= cfg.sf_ceiling  # the rule's reason: too active
     assert not cfg.banded(float(sobel_hfm(patch).values.mean()), sf)
-    assert one_tile_labels(patch).value is Label.NON_BANDED
+    assert one_tile_prob(patch) == 0.0
 
 
 def test_baseline_quantized_ramp():
@@ -494,7 +494,7 @@ def test_baseline_quantized_ramp():
     _, _, sf = spatial_frequency(patch)
     assert mean_grad > cfg.grad_floor and sf < cfg.sf_ceiling
     assert cfg.banded(mean_grad, sf)
-    assert one_tile_labels(patch).value is Label.BANDED
+    assert one_tile_prob(patch) == 1.0
 
 
 def test_baseline_small_patch_rejected():
@@ -556,3 +556,28 @@ def test_not_a_container(tmp_path):
     path.write_bytes(b"whatever bytes these are")
     with pytest.raises(WeightFormatError):
         load_params(path)
+
+
+# Headers that disagree with themselves, each in a container with a valid CRC.
+CRAFTED_HEADERS = {
+    # patch size 16, fc width 8, no conv widths; seed, epochs, no tensors
+    "zero-widths": struct.pack("<IIB", 16, 8, 0) + struct.pack("<qII", 0, 0, 0),
+    # three conv widths declared, one present, and nothing after it
+    "short-header": struct.pack("<IIBI", 16, 8, 3, 4),
+    # one conv width; one tensor declared, but no shape table follows
+    "missing-tensor": struct.pack("<IIBI", 16, 8, 1, 2) + struct.pack("<qII", 0, 0, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CRAFTED_HEADERS))
+def test_crafted_header_is_a_format_error(tmp_path, capsys, case):
+    path = tmp_path / "w.bgw"
+    body = b"BGWT\x01" + CRAFTED_HEADERS[case]
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    with pytest.raises(WeightFormatError):
+        load_params(path)
+    image = tmp_path / "one.pgm"
+    save_image(PlanarImage.from_array(np.zeros((16, 16), dtype=np.uint8)), image)
+    argv = ["score", str(image), "--model", str(path), "--out", str(tmp_path / "s.csv")]
+    assert main(argv) == 1
+    assert "input error" in capsys.readouterr().err

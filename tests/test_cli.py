@@ -147,7 +147,7 @@ def test_baseline_score_properties(case):
     assert (q == 0.0) == (res.banded_patch_count == 0)
     other = score_image(rewritten, cfg)
     assert other.score.q == q
-    assert [m.label for m in other.bmap.patch_meta] == [m.label for m in res.bmap.patch_meta]
+    assert other.bmap.prob.tobytes() == res.bmap.prob.tobytes()
     assert np.array_equal(other.bmap.values, res.bmap.values)
 
 

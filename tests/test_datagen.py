@@ -22,7 +22,7 @@ from bandgauge.datagen import (
     write_manifest,
 )
 from bandgauge.freq import pws_lfm, sobel_hfm
-from bandgauge.imgcore import Label, PatchLabel, PlanarImage, load_image, tile, to_luma
+from bandgauge.imgcore import Label, PlanarImage, load_image, tile, to_luma
 from conftest import extract
 
 
@@ -151,17 +151,17 @@ def test_label_patch_boundary():
 
     mask = np.zeros((40, 40), dtype=bool)
     sample_none = GeneratedSample(img, mask, SynthSpec("linear_ramp", size=40))
-    assert all(l.value is Label.NON_BANDED for l in label_patches(sample_none, grid))
+    assert all(l is Label.NON_BANDED for l in label_patches(sample_none, grid))
 
     mask30 = np.zeros((40, 40), dtype=bool)
     mask30[0:3, 0:10] = True  # exactly 30 of 100 pixels in patch (0, 0)
     s30 = GeneratedSample(img, mask30, SynthSpec("linear_ramp", size=40))
-    assert label_patches(s30, grid)[0].value is Label.NON_BANDED
+    assert label_patches(s30, grid)[0] is Label.NON_BANDED
 
     mask31 = mask30.copy()
     mask31[3, 0] = True  # 31%
     s31 = GeneratedSample(img, mask31, SynthSpec("linear_ramp", size=40))
-    assert label_patches(s31, grid)[0].value is Label.BANDED
+    assert label_patches(s31, grid)[0] is Label.BANDED
 
 
 def label_patches_per_tile(sample, grid):
@@ -170,7 +170,7 @@ def label_patches_per_tile(sample, grid):
     labels = []
     for k in range(len(grid)):
         frac = float(extract(grid, sample.banded_mask, k).sum()) / area
-        labels.append(PatchLabel(Label.BANDED if frac > 0.30 else Label.NON_BANDED, 1.0))
+        labels.append(Label.BANDED if frac > 0.30 else Label.NON_BANDED)
     return tuple(labels)
 
 
@@ -306,7 +306,7 @@ def test_load_dataset_follows_manifest_order(tmp_path):
         patch = luma[y : y + n, x : x + n]
         assert s.hfm.values.tobytes() == sobel_hfm(patch).values.tobytes()
         assert s.lfm.values.tobytes() == pws_lfm(patch).values.tobytes()
-        assert s.label == PatchLabel(labels[i % 2], 1.0)
+        assert s.label is labels[i % 2]
 
 
 def _load_overhead(manifest) -> int:

@@ -15,16 +15,8 @@ from hypothesis import strategies as st
 from bandgauge.classifier import _BLOCK_PIXELS, forward_batch, init_params, save_params
 from bandgauge.cli import main
 from bandgauge.datagen import make_dataset
-from bandgauge.freq import HighFreqMap, pws_lfm
-from bandgauge.imgcore import (
-    BLOCK_PIXELS,
-    Label,
-    PatchLabel,
-    PlanarImage,
-    load_image,
-    save_image,
-    tile,
-)
+from bandgauge.freq import pws_lfm
+from bandgauge.imgcore import BLOCK_PIXELS, PlanarImage, load_image, save_image, tile
 from bandgauge.pipeline import RunConfig, score_image
 from bandgauge.scoring import banding_map, pool_score
 from bandgauge.sfmask import SpatialFreqStats, mask_weights, sf_threshold
@@ -38,21 +30,17 @@ def score_image_per_tile(img, config, model=None):
     luma = luma_reference(img).astype(np.float64)
     grid = tile(img, n)
     tiles = [extract(grid, luma, k) for k in range(len(grid))]
-    hfms = [HighFreqMap(sobel_reference(t)) for t in tiles]
-    cf, rf, sf = (np.array(v) for v in zip(*map(sf_reference, tiles)))
-    stats = SpatialFreqStats(cf, rf, sf, sf_threshold(sf))
+    hfms = [sobel_reference(t) for t in tiles]
+    sf = np.array([sf_reference(t)[2] for t in tiles])
+    stats = SpatialFreqStats(sf, sf_threshold(sf))
     probs = None
     if model is not None:
         probs = forward_batch(model, hfms, [pws_lfm(t, config.pws) for t in tiles])
-        banded, confidence = probs > 0.5, np.maximum(probs, 1.0 - probs)
+        prob = probs
     else:
-        mean_grad = np.array([h.values.mean() for h in hfms])
-        banded, confidence = config.baseline.banded(mean_grad, sf), np.ones(len(grid))
-    labels = [
-        PatchLabel(Label.BANDED if b else Label.NON_BANDED, float(c))
-        for b, c in zip(banded, confidence)
-    ]
-    bm = banding_map(grid, labels, mask_weights(stats, n, config.gamma), hfms)
+        mean_grad = np.array([h.mean() for h in hfms])
+        prob = config.baseline.banded(mean_grad, sf).astype(float)
+    bm = banding_map(grid, prob, mask_weights(stats, n, config.gamma), hfms)
     return pool_score(bm, config.p_percent), bm, hfms, probs
 
 
@@ -76,9 +64,8 @@ def assert_same_as_per_tile(img, config, model=None):
     score, bm, hfms, probs = score_image_per_tile(img, config, model)
     assert res.score.q.hex() == score.q.hex()
     assert res.score.per_patch_scores == score.per_patch_scores
-    assert [(m.label, m.weight) for m in res.bmap.patch_meta] == [
-        (m.label, m.weight) for m in bm.patch_meta
-    ]
+    assert res.bmap.prob.tobytes() == bm.prob.tobytes()
+    assert res.bmap.weight.tobytes() == bm.weight.tobytes()
     assert res.bmap.values.tobytes() == bm.values.tobytes()
     return res, hfms, probs
 
@@ -116,7 +103,7 @@ def test_streamed_score_is_the_per_tile_score(w, h, n, with_model, threads, monk
     step = _BLOCK_PIXELS // (n * n)
     starts = range(0, len(hfms), step)
     assert len(calls) == len(starts)
-    streamed = [calls[np.stack([m.values for m in hfms[s : s + step]]).tobytes()] for s in starts]
+    streamed = [calls[np.stack(hfms[s : s + step]).tobytes()] for s in starts]
     assert np.concatenate(streamed).tobytes() == probs.tobytes()
 
 
@@ -159,6 +146,40 @@ def test_streamed_baseline_score_is_the_per_tile_score(n, cols, rows, extra, see
     w, h = cols * n + extra % n, rows * n + (extra // 7) % n
     img = mixed_frame(seed, w, h, n, nch)
     assert_same_as_per_tile(img, RunConfig(patch_size=n))
+
+
+def square_symmetry(arr, quarter_turns, transpose):
+    """One of the 8 symmetries of the square, on the first two axes."""
+    return np.rot90(np.swapaxes(arr, 0, 1) if transpose else arr, quarter_turns, axes=(0, 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(8, 39),
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 3]),
+)
+def test_baseline_verdicts_follow_the_symmetries_of_the_square(n, cols, rows, seed, nch):
+    # The grid tiles the frame exactly, so each symmetry maps tiles onto
+    # tiles, and the rule's verdict on a tile must move with it.  Only the
+    # verdicts are compared bit for bit: epsilon and q are sums whose order
+    # the symmetry changes.
+    img = mixed_frame(seed, cols * n, rows * n, n, nch)
+    config = RunConfig(patch_size=n)
+    res = score_image(img, config)
+    prob = res.bmap.prob.reshape(rows, cols)
+    arr = img.to_array()
+    for turns, transpose in itertools.product(range(4), (False, True)):
+        if (turns, transpose) == (0, False):
+            continue
+        moved = square_symmetry(arr, turns, transpose)
+        out = score_image(PlanarImage.from_array(moved), config)
+        got = out.bmap.prob.reshape(moved.shape[0] // n, moved.shape[1] // n)
+        want = np.ascontiguousarray(square_symmetry(prob, turns, transpose))
+        assert got.tobytes() == want.tobytes(), (turns, transpose)
+        assert out.banded_patch_count == res.banded_patch_count
 
 
 def rgb_1080p(content):
@@ -212,8 +233,7 @@ def test_kept_tiles_do_not_hold_their_runs():
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    banded = [m.index for m in res.bmap.patch_meta if m.label.is_banded]
-    assert banded == list(range(0, 480, 16))
+    assert np.flatnonzero(res.bmap.banded).tolist() == list(range(0, 480, 16))
     assert held < 30 * (32 << 10) + (512 << 10)
 
 
@@ -243,7 +263,8 @@ def test_more_workers_than_cores_with_fast_switching():
         pooled = score_image(img, RunConfig(patch_size=n, threads=8), model)
     finally:
         sys.setswitchinterval(interval)
-    assert pooled.bmap.patch_meta == serial.bmap.patch_meta
+    assert pooled.bmap.prob.tobytes() == serial.bmap.prob.tobytes()
+    assert pooled.bmap.weight.tobytes() == serial.bmap.weight.tobytes()
     assert pooled.bmap.values.tobytes() == serial.bmap.values.tobytes()
 
 

@@ -7,41 +7,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bandgauge.freq import HighFreqMap
-from bandgauge.imgcore import Label, PatchLabel, PlanarImage, tile
-from bandgauge.scoring import (
-    PatchMeta,
-    _top_fraction_mean,
-    banding_map,
-    map_to_image,
-    pool_score,
-)
+from bandgauge.imgcore import PlanarImage, tile
+from bandgauge.scoring import _top_fraction_mean, banding_map, map_to_image, pool_score
 from bandgauge.sfmask import MaskWeights
 
-
-BANDED = PatchLabel(Label.BANDED, 1.0)
-CLEAN = PatchLabel(Label.NON_BANDED, 1.0)
+BANDED, CLEAN = 1.0, 0.0  # a tile's probability
 
 
 def build_map(rng, w=96, h=64, n=32, banded_frac=0.6, weight_hi=3.0):
     img = PlanarImage.from_array(np.zeros((h, w), dtype=np.uint8))
     grid = tile(img, n)
     labels = [BANDED if rng.random() < banded_frac else CLEAN for _ in grid.patches]
-    weights = MaskWeights(rng.uniform(1.0, weight_hi, size=len(grid)), 1.5)
+    weights = MaskWeights(rng.uniform(1.0, weight_hi, size=len(grid)))
     hfms = []
     for _ in grid.patches:
         vals = rng.random((n, n)) * 4.0
         vals[rng.random((n, n)) < 0.4] = 0.0  # plenty of zeros
-        hfms.append(HighFreqMap(vals))
+        hfms.append(vals)
     return grid, labels, weights, hfms
 
 
 def brute_force_pool(bm, p_percent):
     """Full-sort oracle with explicit tie handling, per patch."""
-    n = bm.patch_size
+    n = bm.grid.patch_size
     patch_scores = []
-    for meta in bm.patch_meta:
-        x, y = meta.origin
+    for x, y in bm.grid.patches:
         vals = [
             float(v)
             for row in bm.values[y : y + n, x : x + n]
@@ -60,24 +50,22 @@ def brute_force_pool(bm, p_percent):
 
 
 def banding_map_reference(grid, labels, weights, hfms):
-    """(frame, patch meta): the map as one eager full frame, zeros, then
-    w_i * |hfm| per banded patch."""
+    """The map as one eager full frame: zeros, then w_i * |hfm| per banded
+    patch."""
     values = np.zeros((grid.image_height, grid.image_width))
-    meta = []
     n = grid.patch_size
     for i, (x, y) in enumerate(grid.patches):
         w_i = float(weights.w[i])
-        if labels[i].is_banded:
-            values[y : y + n, x : x + n] = w_i * np.abs(hfms[i].values)
-        meta.append(PatchMeta(i, (x, y), labels[i], w_i))
-    return values, tuple(meta)
+        if labels[i] > 0.5:
+            values[y : y + n, x : x + n] = w_i * np.abs(hfms[i])
+    return values
 
 
-def pool_score_reference(values, patch_meta, n, p_percent):
+def pool_score_reference(values, grid, p_percent):
     """(q, per-patch scores) pooled from slices of the full frame."""
     scores = []
-    for meta in patch_meta:
-        x, y = meta.origin
+    n = grid.patch_size
+    for x, y in grid.patches:
         block = values[y : y + n, x : x + n]
         scores.append(_top_fraction_mean(block[block > 0.0], p_percent))
     return float(sum(scores) / len(scores)), scores
@@ -100,18 +88,19 @@ def test_tile_form_is_the_full_frame_bitwise(n, cols, rows, extra_w, extra_h, p,
     )
     grid = tile(img, n)
     labels = [BANDED if b else CLEAN for b in rng.random(len(grid)) < rng.random()]
-    weights = MaskWeights(1.0 + rng.exponential(size=len(grid)), 1.5)
+    weights = MaskWeights(1.0 + rng.exponential(size=len(grid)))
     hfms = []
     for label in labels:
         vals = np.floor(rng.random((n, n)) * 6.0) / 2.0  # zeros and ties
-        hfms.append(HighFreqMap(vals) if label.is_banded else None)
+        hfms.append(vals if label > 0.5 else None)
     bm = banding_map(grid, labels, weights, hfms)
-    values, meta = banding_map_reference(grid, labels, weights, hfms)
+    values = banding_map_reference(grid, labels, weights, hfms)
     got = pool_score(bm, p)
-    want_q, want_scores = pool_score_reference(values, meta, n, p)
+    want_q, want_scores = pool_score_reference(values, grid, p)
     assert list(got.per_patch_scores) == want_scores
     assert got.q.hex() == want_q.hex()
-    assert bm.patch_meta == meta
+    assert bm.prob.tobytes() == np.array(labels).tobytes()
+    assert bm.weight.tobytes() == weights.w.tobytes()
     assert (bm.height, bm.width) == values.shape
     assert bm.values.tobytes() == values.tobytes()
 
@@ -138,23 +127,23 @@ def test_single_banded_patch_copies_hfm(rng):
     grid, _, _, hfms = build_map(rng, w=64, h=64, n=32)
     labels = [CLEAN] * len(grid)
     labels[2] = BANDED
-    weights = MaskWeights(np.ones(len(grid)), 1.5)
+    weights = MaskWeights(np.ones(len(grid)))
     bm = banding_map(grid, labels, weights, hfms)
     x, y = grid.patches[2]
     block = bm.values[y : y + 32, x : x + 32]
-    assert (block == hfms[2].values).all()
+    assert (block == hfms[2]).all()
     outside = bm.values.copy()
     outside[y : y + 32, x : x + 32] = 0.0
     assert outside.max() == 0.0
     # Only a banded patch's map is read.
-    only_banded = [h if label.is_banded else None for h, label in zip(hfms, labels)]
+    only_banded = [h if label > 0.5 else None for h, label in zip(hfms, labels)]
     assert banding_map(grid, labels, weights, only_banded).values.tobytes() == bm.values.tobytes()
 
 
 def test_weight_scales_linearly(rng):
     grid, labels, weights, hfms = build_map(rng)
     bm1 = banding_map(grid, labels, weights, hfms)
-    bm2 = banding_map(grid, labels, MaskWeights(2.0 * weights.w, 1.5), hfms)
+    bm2 = banding_map(grid, labels, MaskWeights(2.0 * weights.w), hfms)
     assert np.allclose(bm2.values, 2.0 * bm1.values, rtol=0, atol=0)
 
 
@@ -164,13 +153,29 @@ def test_misaligned_collections_rejected(rng):
         banding_map(grid, labels[:-1], weights, hfms)
 
 
+@pytest.mark.parametrize("bad", [-0.1, 1.5, float("nan"), float("inf")])
+def test_probability_outside_the_unit_interval_rejected(rng, bad):
+    grid, labels, weights, hfms = build_map(rng)
+    labels[0] = bad
+    with pytest.raises(ValueError, match=r"within \[0, 1\]"):
+        banding_map(grid, labels, weights, hfms)
+
+
+def test_banded_tile_map_must_be_patch_sized(rng):
+    grid, labels, weights, hfms = build_map(rng)
+    hfms[0] = hfms[0][:-1]
+    labels[0] = BANDED
+    with pytest.raises(ValueError, match="patch size"):
+        banding_map(grid, labels, weights, hfms)
+    labels[0] = CLEAN  # a non-banded tile's map is not read
+    assert banding_map(grid, labels, weights, hfms).hvs[0] is None
+
+
 def test_constant_patch_pools_to_its_value():
     img = PlanarImage.from_array(np.zeros((32, 32), dtype=np.uint8))
     grid = tile(img, 32)
     c = 0.7351
-    bm = banding_map(
-        grid, [BANDED], MaskWeights(np.ones(1), 1.5), [HighFreqMap(np.full((32, 32), c))]
-    )
+    bm = banding_map(grid, [BANDED], MaskWeights(np.ones(1)), [np.full((32, 32), c)])
     for p in (10.0, 50.0, 80.0, 100.0):
         assert pool_score(bm, p).q == pytest.approx(c, rel=1e-12)
 
@@ -196,7 +201,7 @@ def test_pool_monotone_in_p(rng):
 def test_pool_scales_with_weights(rng):
     grid, labels, weights, hfms = build_map(rng)
     q1 = pool_score(banding_map(grid, labels, weights, hfms)).q
-    q3 = pool_score(banding_map(grid, labels, MaskWeights(3.0 * weights.w, 1.5), hfms)).q
+    q3 = pool_score(banding_map(grid, labels, MaskWeights(3.0 * weights.w), hfms)).q
     assert q3 == pytest.approx(3.0 * q1, rel=1e-12)
 
 
@@ -204,7 +209,7 @@ def test_flipping_to_banded_never_decreases(rng):
     grid, labels, weights, hfms = build_map(rng, banded_frac=0.3)
     base = pool_score(banding_map(grid, labels, weights, hfms)).q
     for k in range(len(labels)):
-        if labels[k].is_banded:
+        if labels[k] > 0.5:
             continue
         flipped = list(labels)
         flipped[k] = BANDED
@@ -234,8 +239,7 @@ def test_map_to_image(rng):
 def test_map_to_image_constant_map_renders_zeros():
     # One tile, banded, with a constant gradient map: the whole map is 2.0.
     grid = tile(PlanarImage.from_array(np.zeros((8, 8), dtype=np.uint8)), 8)
-    hfm = HighFreqMap(np.full((8, 8), 2.0))
-    bm = banding_map(grid, [BANDED], MaskWeights(np.ones(1), 1.5), [hfm])
+    bm = banding_map(grid, [BANDED], MaskWeights(np.ones(1)), [np.full((8, 8), 2.0)])
     assert bm.values.min() == bm.values.max() == 2.0
     img = map_to_image(bm)
     assert (img.planes[0] == 0).all()
