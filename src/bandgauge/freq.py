@@ -13,19 +13,29 @@ where the second sum runs over 4-neighbour pixel pairs whose endpoints both
 lie outside a frozen edge set E.  E is fixed up front from the input's
 forward-difference gradient magnitude (threshold tau, default mean + 2
 std), which turns the problem into a single positive-definite quadratic.
-That quadratic is descended by red-black Gauss-Seidel sweeps with natural
-(Neumann) boundary handling: L is held as its four stride-2 sub-lattices,
-each in a zero-bordered frame, and a sweep updates (0,0), (1,1) (red) then
-(0,1), (1,0) (black) with 0/1 pair weights.  Red-black ordering makes every
-sweep deterministic.  Each update minimizes F exactly over its sub-lattice,
-so it lowers F by exactly 1/2 sum diag * (old - new)^2, where diag is the
-coefficient the update divides by: the solver tracks F by this decrement
-instead of re-evaluating it.  The map is the iterate at which a sweep's
-decrement falls to tol times the energy before it, or to tol times the
-rounding floor eps * 1/2 sum I^2 when the energy is below that floor (a
-flat tile's energy is pure rounding noise, so such a tile stops after one
-sweep).  Smoothing never crosses E, so strong edges survive while plateau
-noise is averaged away.
+
+When no active pair differs at L = I, the input attains F's lower bound
+beta*|E| and is returned as it is, without a sweep: a flat tile, or one
+whose every step is an edge.  Otherwise the quadratic is descended by
+red-black successive over-relaxation (SOR) sweeps with natural (Neumann)
+boundary handling: L is held as its four stride-2 sub-lattices, each in a
+zero-bordered frame, and a sweep updates (0,0), (1,1) (red) then (0,1),
+(1,0) (black) with 0/1 pair weights.  Red-black ordering makes every sweep
+deterministic, and it makes the system consistently ordered, so Young's
+theory (D. M. Young, Iterative Solution of Large Linear Systems, 1971)
+gives the over-relaxation factor: the Jacobi spectral radius is at most
+rho = 8 alpha / (1 + 8 alpha), and omega = 2 / (1 + sqrt(1 - rho^2)),
+about 1.495 at alpha = 2.  Each update moves a point omega times its
+Gauss-Seidel step delta, the step to the exact minimizer of F over its
+sub-lattice, so it lowers F by exactly omega (2 - omega) / 2 sum diag *
+delta^2, where diag is the coefficient the Gauss-Seidel value divides by:
+the solver tracks F by this decrement instead of re-evaluating it.  The
+map is the iterate at which a sweep's decrement falls to tol times the
+energy before it, or to tol times the rounding floor eps * 1/2 sum I^2
+when the energy is below that floor.  The minimizer lies within the
+input's range, and the iterate within its stopping distance of it.
+Smoothing never crosses E, so strong edges survive while plateau noise is
+averaged away.
 """
 
 from __future__ import annotations
@@ -72,11 +82,11 @@ class HighFreqMap:
 
 @dataclass(frozen=True)
 class LowFreqMap:
-    """Smoothed field in [0, 1] plus the solver's running energies.
+    """Smoothed field plus the solver's running energies.
 
     energy_trace[0] is F at L = I; each later entry is the one before it
     minus the exact decrement of one sweep, so it matches F recomputed from
-    that sweep's iterate up to rounding.
+    that sweep's iterate up to rounding.  A single entry means no sweep ran.
     """
 
     values: np.ndarray
@@ -105,7 +115,11 @@ class PwsConfig:
     """Solver knobs for the piecewise-smooth decomposition.
 
     edge_threshold None means: derive tau per image as mean + 2 std of the
-    forward-difference gradient magnitude.
+    forward-difference gradient magnitude.  The sweeps over-relax by
+    omega = 2 / (1 + sqrt(1 - rho^2)), rho = 8 reg_alpha / (1 + 8 reg_alpha)
+    (about 1.495 at the default alpha), and an input on which no active
+    pair differs is returned as it is, without a sweep.  max_iters caps the
+    sweeps and tol is the stop rule's relative energy decrement.
     """
 
     reg_alpha: float = 2.0
@@ -295,9 +309,16 @@ def pws_lfm(img, cfg: PwsConfig = PwsConfig()) -> LowFreqMap:
     dy2[edges[:-1] | edges[1:]] = 0.0
     smooth, n_edges = float(dx2.sum() + dy2.sum()), float(edges.sum())
     energy = cfg.reg_alpha * smooth + cfg.reg_beta * n_edges
-    # Below eps * 1/2 sum I^2 an energy is rounding noise: a flat tile's is.
+    if smooth == 0.0:
+        # No active pair differs, so L = I attains F's lower bound beta*|E|.
+        return LowFreqMap(arr.copy(), (energy,))
+    # Below eps * 1/2 sum I^2 an energy is rounding noise.
     floor = np.finfo(np.float64).eps * 0.5 * float(np.einsum("ij,ij->", arr, arr))
     a2 = 2.0 * cfg.reg_alpha
+    # Young's factor for the bound rho on the Jacobi spectral radius: each
+    # of a point's up to four neighbours weighs at most a2 / (1 + 4 a2).
+    rho = 8.0 * cfg.reg_alpha / (1.0 + 8.0 * cfg.reg_alpha)
+    omega = 2.0 / (1.0 + (1.0 - rho * rho) ** 0.5)
     lattices = _sub_lattices(arr, edges, a2)
 
     trace = [energy]
@@ -313,16 +334,18 @@ def pws_lfm(img, cfg: PwsConfig = PwsConfig()) -> LowFreqMap:
             ns *= a2
             ns += arr_s
             ns /= diag_s
-            # Exact minimization over this sub-lattice lowers F by
-            # 1/2 sum diag * (old - new)^2.
-            np.subtract(centre, ns, out=t)
-            drop += float(np.einsum("ij,ij,ij->", t, t, diag_s))
-            centre[...] = ns
-        prev, energy = energy, energy - 0.5 * drop
+            ns -= centre  # the Gauss-Seidel step
+            drop += float(np.einsum("ij,ij,ij->", ns, ns, diag_s))
+            ns *= omega
+            centre += ns
+        # omega times the step to a sub-lattice's exact minimizer lowers F
+        # by omega (2 - omega) / 2 sum diag * step^2.
+        drop *= 0.5 * omega * (2.0 - omega)
+        prev, energy = energy, energy - drop
         trace.append(energy)
-        if 0.5 * drop <= cfg.tol * max(prev, floor):
+        if drop <= cfg.tol * max(prev, floor):
             break
     out = np.empty_like(arr)
     for (py, px), (centre, *_), _, _ in lattices:
         out[py::2, px::2] = centre
-    return LowFreqMap(np.clip(out, arr.min(), arr.max(), out=out), tuple(trace))
+    return LowFreqMap(out, tuple(trace))

@@ -46,28 +46,44 @@ def dense_direct_solve(i_arr, edges, alpha):
     return np.linalg.solve(a, i_arr.ravel()).reshape(h, w)
 
 
-def masked_energy(i_arr, l_arr, edges, cfg):
-    """The objective with the pair masks applied by boolean compaction."""
+def masked_smooth(l_arr, edges):
+    """The sum of squared active pair differences, by boolean compaction."""
     keep = ~edges
     active_h = keep[:, :-1] & keep[:, 1:]
     active_v = keep[:-1, :] & keep[1:, :]
-    data = 0.5 * float(((i_arr - l_arr) ** 2).sum())
     dh = l_arr[:, 1:] - l_arr[:, :-1]
     dv = l_arr[1:, :] - l_arr[:-1, :]
-    smooth = float((dh * dh)[active_h].sum() + (dv * dv)[active_v].sum())
+    return float((dh * dh)[active_h].sum() + (dv * dv)[active_v].sum())
+
+
+def masked_energy(i_arr, l_arr, edges, cfg):
+    """The objective with the pair masks applied by boolean compaction."""
+    data = 0.5 * float(((i_arr - l_arr) ** 2).sum())
+    smooth = masked_smooth(l_arr, edges)
     return data + cfg.reg_alpha * smooth + cfg.reg_beta * float(edges.sum())
+
+
+def young_omega(alpha):
+    """Young's optimal factor for a Jacobi spectral radius of 8a / (1 + 8a)."""
+    rho = 8.0 * alpha / (1.0 + 8.0 * alpha)
+    return 2.0 / (1.0 + (1.0 - rho * rho) ** 0.5)
 
 
 def masked_red_black(arr, cfg):
     """Reference solver: full-grid neighbour sums and boolean colour masks.
 
-    The same update (arr + 2 alpha * ns) / diag, with ns summed left, right,
-    up, down, applied one colour at a time over the whole grid.  It stops by
-    pws_lfm's rule on its own decrement, sum diag * (old - new)^2 over each
-    colour by boolean compaction, against the energy it recomputes with
-    masked_energy.  Returns (clipped field, recomputed energy trace).
+    The same Gauss-Seidel value gs = (arr + 2 alpha * ns) / diag, with ns
+    summed left, right, up, down, applied one colour at a time over the
+    whole grid as L + omega * (gs - L), omega by Young's formula.  When the
+    masked smooth sum at L = I is 0.0 it returns the input with no sweep.
+    Otherwise it stops by pws_lfm's rule on its own decrement,
+    omega (2 - omega) / 2 sum diag * (gs - L)^2 over each colour by boolean
+    compaction, against the energy it recomputes with masked_energy.
+    Returns (field, recomputed energy trace).
     """
     edges = edge_set(arr, cfg.edge_threshold)
+    if masked_smooth(arr, edges) == 0.0:
+        return arr.copy(), [masked_energy(arr, arr, edges, cfg)]
     keep = ~edges
     active_h = keep[:, :-1] & keep[:, 1:]
     active_v = keep[:-1, :] & keep[1:, :]
@@ -78,6 +94,7 @@ def masked_red_black(arr, cfg):
     wu[1:, :] = active_v
     wd[:-1, :] = active_v
     a2 = 2.0 * cfg.reg_alpha
+    omega = young_omega(cfg.reg_alpha)
     diag = 1.0 + a2 * (wl + wr + wu + wd)
     yy, xx = np.indices((h, w))
     red = (yy + xx) % 2 == 0
@@ -93,13 +110,13 @@ def masked_red_black(arr, cfg):
             ns[:, :-1] += wr[:, :-1] * l_cur[:, 1:]
             ns[1:, :] += wu[1:, :] * l_cur[:-1, :]
             ns[:-1, :] += wd[:-1, :] * l_cur[1:, :]
-            new = (arr[mask] + a2 * ns[mask]) / diag[mask]
-            drop += float((diag[mask] * (l_cur[mask] - new) ** 2).sum())
-            l_cur[mask] = new
+            step = (arr[mask] + a2 * ns[mask]) / diag[mask] - l_cur[mask]
+            drop += float((diag[mask] * step**2).sum())
+            l_cur[mask] = l_cur[mask] + step * omega
         trace.append(masked_energy(arr, l_cur, edges, cfg))
-        if 0.5 * drop <= cfg.tol * max(trace[-2], floor):
+        if 0.5 * omega * (2.0 - omega) * drop <= cfg.tol * max(trace[-2], floor):
             break
-    return np.clip(l_cur, arr.min(), arr.max()), trace
+    return l_cur, trace
 
 
 # --- Sobel HFM ----------------------------------------------------------------
@@ -380,16 +397,23 @@ def test_strided_sweeps_match_masked_red_black(case):
     want, want_trace = masked_red_black(arr, cfg)
     assert np.array_equal(lfm.values, want)
     assert len(lfm.energy_trace) == len(want_trace)  # same sweep count
-    # The running energy and the recomputed one differ by rounding, which a
-    # relative test cannot absorb near 0: on a flat 1x3 row at alpha 3 they
-    # read -8e-32 and +8e-32.  The allowance is some hundreds of eps times
-    # the scale of the energy's terms, (1 + 16 alpha) sum I^2.  Below the
-    # normal range a product rounds by up to one subnormal step instead, so
-    # a few such steps per pixel and sweep are allowed on top: energies of
-    # 3.755e-322 and 3.804e-322 differ by one step.
-    atol = 1e-13 * (1.0 + 16.0 * cfg.reg_alpha) * float((arr * arr).sum())
-    atol += 8 * arr.size * len(want_trace) * np.finfo(np.float64).smallest_subnormal
+    atol = energy_atol(arr, cfg, len(want_trace))
     np.testing.assert_allclose(lfm.energy_trace, want_trace, rtol=1e-12, atol=atol)
+
+
+def energy_atol(arr, cfg, entries):
+    """Rounding allowance between the running and a recomputed energy.
+
+    A relative test cannot absorb it near 0: on a flat 1x3 row at alpha 3
+    the two read -8e-32 and +8e-32 when the solver swept such rows.  The
+    allowance is some hundreds of eps times the scale of the energy's terms,
+    (1 + 16 alpha) sum I^2.  Below the normal range a product rounds by up
+    to one subnormal step instead, so a few such steps per pixel and trace
+    entry are allowed on top: energies of 3.755e-322 and 3.804e-322 differ
+    by one step.
+    """
+    atol = 1e-13 * (1.0 + 16.0 * cfg.reg_alpha) * float((arr * arr).sum())
+    return atol + 8 * arr.size * entries * np.finfo(np.float64).smallest_subnormal
 
 
 def test_final_energy_is_the_documented_objective(rng):
@@ -403,19 +427,163 @@ def test_final_energy_is_the_documented_objective(rng):
         assert want == pytest.approx(masked_energy(arr, lfm.values, edges, cfg), rel=1e-12)
 
 
+# --- properties of the over-relaxed solver -------------------------------------
+
+
+@given(_solver_cases())
+@settings(max_examples=200, deadline=None)
+def test_energy_trace_falls_to_the_returned_maps_energy(case):
+    # Each sweep lowers F by omega (2 - omega) / 2 sum diag * step^2, which
+    # is >= 0 for any 0 < omega < 2.
+    arr, cfg = case
+    lfm = pws_lfm(arr, cfg)
+    trace = np.array(lfm.energy_trace)
+    assert (np.diff(trace) <= 0.0).all(), trace
+    want = pws_energy(arr, lfm.values, edge_set(arr, cfg.edge_threshold), cfg)
+    atol = energy_atol(arr, cfg, len(trace))
+    np.testing.assert_allclose(trace[-1], want, rtol=1e-12, atol=atol)
+
+
+@st.composite
+def _plateau_cases(draw):
+    """Up to four constant quadrants: L = I often minimizes F on them."""
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    cy, cx = draw(st.integers(0, h)), draw(st.integers(0, w))
+    levels = draw(st.lists(st.sampled_from([0.0, 0.25, 0.6, 1.0]), min_size=4, max_size=4))
+    arr = np.full((h, w), levels[0])
+    arr[cy:, :cx], arr[:cy, cx:], arr[cy:, cx:] = levels[1:]
+    cfg = PwsConfig(
+        reg_alpha=draw(st.floats(0.05, 8.0)),
+        edge_threshold=draw(st.none() | st.floats(0.0, 0.8)),
+    )
+    return arr, cfg
+
+
+@given(_plateau_cases() | _solver_cases())
+@example((np.full((5, 4), 0.3), PwsConfig()))
+@example((np.repeat([[0.0, 0.0, 1.0, 1.0]], 3, axis=0), PwsConfig(edge_threshold=0.5)))
+@settings(max_examples=200, deadline=None)
+def test_no_sweep_exactly_when_the_input_minimizes_f(case):
+    arr, cfg = case
+    lfm = pws_lfm(arr, cfg)
+    edges = edge_set(arr, cfg.edge_threshold)
+    swept = len(lfm.energy_trace) > 1
+    assert swept == (masked_smooth(arr, edges) > 0.0)
+    if not swept:
+        assert lfm.values.tobytes() == arr.tobytes()
+        direct = dense_direct_solve(arr, edges, cfg.reg_alpha)
+        assert np.abs(lfm.values - direct).max() <= 1e-12
+
+
+# --- the eight symmetries of the square ---------------------------------------
+
+_SYMMETRIES = {
+    "identity": lambda a: a,
+    "rot90": lambda a: np.rot90(a, 1),
+    "rot180": lambda a: np.rot90(a, 2),
+    "rot270": lambda a: np.rot90(a, 3),
+    "transpose": lambda a: a.T,
+    "anti-transpose": lambda a: np.rot90(a, 2).T,
+    "flip-rows": np.flipud,
+    "flip-columns": np.fliplr,
+}
+# On even sides these keep each pixel's colour (y + x) mod 2; the others
+# swap red and black.  On odd sides all eight keep it.
+_KEEP_COLOURS = {"identity", "rot180", "transpose", "anti-transpose"}
+# These turn forward differences into backward ones.
+_REVERSE_AN_AXIS = set(_SYMMETRIES) - {"identity", "transpose"}
+
+
+def tilewise(fn, image, n):
+    """fn's map of each n x n tile of an image that the grid tiles exactly,
+    laid out where the tile lies."""
+    out = np.empty_like(image)
+    for y in range(0, image.shape[0], n):
+        for x in range(0, image.shape[1], n):
+            out[y : y + n, x : x + n] = fn(np.ascontiguousarray(image[y : y + n, x : x + n]))
+    return out
+
+
+@st.composite
+def _tiled_images(draw, max_side):
+    """(image, n): a rows x cols grid of n x n tiles, n in 3..max_side."""
+    n = draw(st.integers(3, max_side))
+    rows, cols = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.sampled_from([2, 7, 256, 0]))  # 0: continuous values
+    image = rng.random((rows * n, cols * n))
+    return (np.floor(image * levels) / levels if levels else image), n
+
+
+@pytest.mark.parametrize("name", list(_SYMMETRIES))
+@given(case=_tiled_images(24))
+@settings(max_examples=40, deadline=None)
+def test_sobel_follows_the_symmetries_of_the_square(name, case):
+    image, n = case
+    g = _SYMMETRIES[name]
+    got = tilewise(lambda t: sobel_hfm(t).values, np.ascontiguousarray(g(image)), n)
+    want = g(tilewise(lambda t: sobel_hfm(t).values, image, n))
+    # A symmetry negates or swaps the two central differences, and swaps the
+    # two outer taps of the smoothing sum; only that sum's order changes, so
+    # the magnitudes (at most 2 (2 + sqrt 2) on [0, 1]) agree to rounding.
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+_FORWARD_EDGES = (
+    "the frozen edge set is built from forward differences, which a "
+    "reversed axis turns into backward ones (FOUND note in CHANGES.md)"
+)
+
+
+@pytest.mark.parametrize(
+    "name, edge_rule",
+    [
+        pytest.param(name, rule, marks=pytest.mark.xfail(strict=True, reason=_FORWARD_EDGES))
+        if rule == "drawn" and name in _REVERSE_AN_AXIS
+        else (name, rule)
+        for name in _SYMMETRIES
+        for rule in ("drawn", "none")
+    ],
+)
+@given(case=_tiled_images(16), alpha=st.floats(0.05, 8.0), tau=st.none() | st.floats(0.0, 0.8))
+@example(case=(np.random.default_rng(3).random((6, 6)), 6), alpha=2.0, tau=None)
+@settings(max_examples=30, deadline=None)
+def test_pws_lfm_follows_the_symmetries_of_the_square(name, edge_rule, case, alpha, tau):
+    # edge_rule "none" sets a threshold above every forward-difference
+    # magnitude on [0, 1] (at most sqrt 2), so that no pixel is an edge.
+    image, n = case
+    g = _SYMMETRIES[name]
+    cfg = PwsConfig(reg_alpha=alpha, edge_threshold=tau if edge_rule == "drawn" else 2.0)
+    got = tilewise(lambda t: pws_lfm(t, cfg).values, np.ascontiguousarray(g(image)), n)
+    want = g(tilewise(lambda t: pws_lfm(t, cfg).values, image, n))
+    if n % 2 or name in _KEEP_COLOURS:
+        # Every update meets the same values; only the order of the sums
+        # over neighbours and over the image changes.
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    else:
+        # Red and black swap, so the two runs take different iterates and
+        # may stop at different sweeps.  Each map lies within its stopping
+        # distance of the exact minimizer, which the symmetry carries over.
+        def distance(t):
+            direct = dense_direct_solve(t, edge_set(t, cfg.edge_threshold), alpha)
+            return np.abs(pws_lfm(t, cfg).values - direct)
+
+        slack = tilewise(distance, np.ascontiguousarray(g(image)), n) + g(tilewise(distance, image, n))
+        assert (np.abs(got - want) <= slack + 1e-10).all()
+
+
 # --- flat tiles and real tiles ------------------------------------------------
 
 
 @pytest.mark.parametrize("n, step", [(64, 1), (235, 4)])
-def test_flat_tile_is_returned_after_one_sweep(n, step):
-    # A flat tile's energy is rounding noise; the floor of the stop test
-    # ends it after the first sweep.  Levels 0.7 and 1/3 ran to the sweep
-    # cap under a purely relative test.
+def test_flat_tile_is_returned_with_no_sweep(n, step):
+    # No pair of a flat tile differs, so L = I already minimizes F and the
+    # solver returns the input without a sweep.
     for level in [k / 255 for k in range(0, 256, step)] + [0.7, 1 / 3]:
         arr = np.full((n, n), level)
         lfm = pws_lfm(arr, PwsConfig())
         assert lfm.values.tobytes() == arr.tobytes(), level
-        assert len(lfm.energy_trace) == 2, (level, len(lfm.energy_trace) - 1)
+        assert len(lfm.energy_trace) == 1, (level, len(lfm.energy_trace) - 1)
 
 
 def _datagen_tiles():
@@ -433,8 +601,13 @@ def _datagen_tiles():
 
 
 def test_real_tiles_match_masked_red_black_bitwise():
+    sweeps = []
     for name, arr in _datagen_tiles():
         lfm = pws_lfm(arr, PwsConfig())
         want, want_trace = masked_red_black(arr, PwsConfig())
         assert lfm.values.tobytes() == want.tobytes(), name
         assert len(lfm.energy_trace) == len(want_trace), name
+        sweeps.append(len(want_trace) - 1)
+    # Both paths stay covered: tiles that L = I already solves, and tiles
+    # that need sweeps.
+    assert 0 in sweeps and max(sweeps) > 0, sweeps
