@@ -89,7 +89,7 @@ def gen_base(spec: SynthSpec) -> PlanarImage:
         field = _noise_texture(s, rng)
     else:  # mixed_scene: smooth upper half, noise lower half
         top = _linear_ramp(s, rng)[: s // 2]
-        bottom = _noise_texture(s, rng)[s - s // 2 :]
+        bottom = _noise_texture(s, rng)[s // 2 :]
         field = np.vstack([top, bottom])
     arr = np.clip(np.rint(field), 0, 255).astype(np.uint8)
     return PlanarImage.from_array(arr)

@@ -10,7 +10,10 @@ logistic curve
 
 fitted by variable projection: b1, b4 and b5 enter linearly and are solved
 exactly, so only the slope b2 and centre b3 are searched, from a fixed grid
-and without random starts.  Every linear solve has x and 1 in its basis, so
+and without random starts.  Once x and y are standardised, x and 1 are
+orthogonal, so the residual at each (b2, b3) comes in closed form from one
+projection of the sigmoid, with no least-squares solve; one solve at the
+chosen (b2, b3) gives the coefficients.  The basis always holds x and 1, so
 the fit is never worse than the affine least-squares fit.
 
 Ranks, tie counts and curve steps all come from the groups of equal
@@ -98,11 +101,15 @@ class Logistic5Params:
         return np.array([self.b1, self.b2, self.b3, self.b4, self.b5])
 
 
+def _sigmoid(slope, centre, z):
+    """The curve's sigmoid term, 1/2 - 1/(1 + exp(slope * (z - centre)))."""
+    return 0.5 - 1.0 / (1.0 + np.exp(np.clip(slope * (z - centre), -500.0, 500.0)))
+
+
 def logistic5(beta, x):
     """Evaluate the mapping curve; beta is array-like of 5 coefficients."""
     b1, b2, b3, b4, b5 = np.asarray(beta, dtype=np.float64)
-    z = np.clip(b2 * (np.asarray(x, dtype=np.float64) - b3), -500.0, 500.0)
-    return b1 * (0.5 - 1.0 / (1.0 + np.exp(z))) + b4 * np.asarray(x) + b5
+    return b1 * _sigmoid(b2, b3, np.asarray(x, dtype=np.float64)) + b4 * np.asarray(x) + b5
 
 
 def _nelder_mead(fn, x0, max_iters=4000, ftol=1e-13):
@@ -121,7 +128,8 @@ def _nelder_mead(fn, x0, max_iters=4000, ftol=1e-13):
         fvals = [fvals[i] for i in idx]
         if abs(fvals[-1] - fvals[0]) <= ftol * (abs(fvals[0]) + ftol):
             break
-        centroid = np.mean(simplex[:-1], axis=0)
+        # The vertices summed in order, then divided: the bits of np.mean.
+        centroid = sum(simplex[1:-1], simplex[0]) / n
         worst = simplex[-1]
         refl = centroid + (centroid - worst)
         f_refl = fn(refl)
@@ -147,43 +155,83 @@ def _nelder_mead(fn, x0, max_iters=4000, ftol=1e-13):
     return simplex[i_best], fvals[i_best]
 
 
+def _projected_sse(z, w):
+    """The search's objective: the SSE of w on the basis [sigmoid, z, 1].
+
+    Returns (sse, sse_rows): sse(p) at one point p = (slope, centre), and
+    sse_rows(points) at each row of an (m, 2) array of finite points (the
+    start grid).  w and each sigmoid s are projected once off the
+    orthonormal pair {1/sqrt(n), centred z/|z|}; the residual is then
+    w_perp - (s_perp . w_perp / |s_perp|^2) s_perp, formed directly, so an
+    exact fit keeps its zero.  Where |s_perp| is at most lstsq's rank
+    cutoff, eps * max(n, 3) * max(|s|, sqrt(n)), s adds nothing to the
+    basis and the SSE is |w_perp|^2.  In sse, a sigmoid holding NaN (a
+    non-finite basis) scores +inf.
+    """
+    n = z.size
+    zc = z - z.mean()
+    z_norm = math.sqrt(float(zc @ zc))
+    q = zc / z_norm if z_norm > 0.0 else zc  # constant x: z adds nothing to 1
+    w_perp = w - w.mean()
+    w_perp -= (q @ w_perp) * q
+    w_sse = float(w_perp @ w_perp)
+    rank_tol = np.finfo(np.float64).eps * max(n, 3)
+    root_n = math.sqrt(n)
+
+    def sse(p):
+        s = _sigmoid(p[0], p[1], z)
+        s_norm = math.sqrt(s @ s)
+        s -= s.sum() / n
+        s -= (s @ q) * q
+        ss = float(s @ s)
+        if math.isnan(ss):
+            return math.inf
+        if math.sqrt(ss) <= rank_tol * max(s_norm, root_n):
+            return w_sse
+        r = w_perp - (s @ w_perp / ss) * s
+        return float(r @ r)
+
+    def sse_rows(points):
+        s = _sigmoid(points[:, :1], points[:, 1:], z)
+        s_norm = np.sqrt(np.einsum("ij,ij->i", s, s))
+        s -= s.mean(axis=1, keepdims=True)
+        s -= np.outer(s @ q, q)
+        ss = np.einsum("ij,ij->i", s, s)
+        full = np.sqrt(ss) > rank_tol * np.maximum(s_norm, root_n)
+        r = w_perp - (s @ w_perp / np.where(full, ss, 1.0))[:, None] * s
+        return np.where(full, np.einsum("ij,ij->i", r, r), w_sse)
+
+    return sse, sse_rows
+
+
 def fit_logistic5(predicted, subjective) -> Logistic5Params:
     """Least-squares fit of the alignment curve by variable projection.
 
-    For a slope b2 and centre b3, one least-squares solve on the basis
-    [sigmoid, x, 1] gives the best (b1, b4, b5) and the residual.  Only
-    (b2, b3) are searched: from the best point of a fixed grid (slopes
-    2^-3..2^3 per standard deviation of x, centres at the deciles of x), by
-    simplex descent and one polish pass.  x and y are standardised first, so
-    neither the search nor its stopping rule depends on their units.  The
-    basis holds x and 1, so the fit is never worse than the affine
-    least-squares fit.
+    For a slope b2 and centre b3, the best (b1, b4, b5) are linear in y, so
+    the residual is that of y on the basis [sigmoid, x, 1], in closed form
+    from one 1-D projection (`_projected_sse`).  Only (b2, b3) are
+    searched: from the best point of a fixed grid (slopes 2^-3..2^3 per
+    standard deviation of x, centres at the deciles of x), scored as one
+    array, by simplex descent and one polish pass.  One least-squares
+    solve at the chosen (b2, b3) then gives b1, b4 and b5.  x and y are
+    standardised first, so neither the search nor its stopping rule
+    depends on their units.  The basis holds x and 1, so the fit is never
+    worse than the affine least-squares fit.
     """
     x, y = _paired(predicted, subjective, minimum=6)
     mu, sd = float(x.mean()), float(x.std()) or 1.0
     my, sy = float(y.mean()), float(y.std()) or 1.0
     z, w = (x - mu) / sd, (y - my) / sy
-
-    def solve(p):
-        """Coefficients and SSE of w on [sigmoid, z, 1], p = (slope, centre) in z."""
-        s = logistic5((1.0, p[0], p[1], 0.0, 0.0), z)
-        basis = np.stack([s, z, np.ones_like(z)], axis=1)
-        if not np.isfinite(basis).all():
-            return None, math.inf
-        coef, *_ = np.linalg.lstsq(basis, w, rcond=None)
-        r = basis @ coef - w
-        return coef, float(r @ r)
-
-    def sse(p):
-        return solve(p)[1]
+    sse, sse_rows = _projected_sse(z, w)
 
     centres = np.percentile(z, np.arange(10, 100, 10))
-    start = min(
-        (np.array([2.0**k, c]) for k in range(-3, 4) for c in centres), key=sse
-    )
+    grid = np.array([(2.0**k, c) for k in range(-3, 4) for c in centres])
+    start = grid[int(np.argmin(sse_rows(grid)))]
     p, _ = _nelder_mead(sse, start)
     p, _ = _nelder_mead(sse, p)  # polish pass
-    c_s, c_z, c_1 = solve(p)[0] * sy
+    basis = np.stack([_sigmoid(p[0], p[1], z), z, np.ones_like(z)], axis=1)
+    coef, *_ = np.linalg.lstsq(basis, w, rcond=None)
+    c_s, c_z, c_1 = coef * sy
     beta = np.array([c_s, p[0] / sd, mu + p[1] * sd, c_z / sd, my + c_1 - c_z * mu / sd])
     r = logistic5(beta, x) - y
     rmse = math.sqrt(float(r @ r) / x.size)

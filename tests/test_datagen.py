@@ -4,10 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bandgauge.datagen import (
+    KINDS,
     GeneratedSample,
     ManifestError,
     ManifestRow,
@@ -123,6 +124,22 @@ def test_mixed_scene_mask_top_half_only():
     sample = make_sample(SynthSpec("mixed_scene", size=64, bit_depth=4, seed=3))
     assert sample.banded_mask[:32].any()
     assert not sample.banded_mask[32:].any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(8, 300), st.integers(0, 2**32 - 1))
+@example(235, 7)  # mixed_scene was 234 rows high at odd sizes
+@example(65, 0)
+def test_every_kind_is_square_at_every_size(size, seed):
+    if size < 16:
+        with pytest.raises(ValueError, match="too small"):
+            SynthSpec(KINDS[0], size=size)
+        return
+    for kind in KINDS:
+        img = gen_base(SynthSpec(kind, size=size, bit_depth=8, seed=seed))
+        assert (img.height, img.width) == (size, size), kind
+        sample = make_sample(SynthSpec(kind, size=size, bit_depth=4, seed=seed))
+        assert sample.banded_mask.shape == (size, size), kind
 
 
 def test_plateau_interiors_not_banded():

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bandgauge.evalharness import (
+    Logistic5Params,
+    _paired,
+    _projected_sse,
     _rankdata,
     fit_logistic5,
     ftest_significance,
@@ -185,6 +189,86 @@ def threshold_candidates(scores):
     return [u[0] - 1.0] + [0.5 * (a + b) for a, b in zip(u, u[1:])] + [u[-1] + 1.0]
 
 
+def lstsq_solve(z, w, p):
+    """Coefficients and SSE of w on [sigmoid, z, 1], p = (slope, centre) in z."""
+    s = logistic5((1.0, p[0], p[1], 0.0, 0.0), z)
+    basis = np.stack([s, z, np.ones_like(z)], axis=1)
+    if not np.isfinite(basis).all():
+        return None, math.inf
+    coef, *_ = np.linalg.lstsq(basis, w, rcond=None)
+    r = basis @ coef - w
+    return coef, float(r @ r)
+
+
+def loop_nelder_mead(fn, x0, max_iters=4000, ftol=1e-13):
+    """Plain simplex descent; returns (x_best, f_best)."""
+    n = len(x0)
+    scale = np.where(np.abs(x0) > 1e-8, 0.1 * np.abs(x0), 0.1)
+    simplex = [np.asarray(x0, dtype=np.float64)]
+    for i in range(n):
+        v = simplex[0].copy()
+        v[i] += scale[i]
+        simplex.append(v)
+    fvals = [fn(v) for v in simplex]
+    for _ in range(max_iters):
+        idx = np.argsort(fvals)
+        simplex = [simplex[i] for i in idx]
+        fvals = [fvals[i] for i in idx]
+        if abs(fvals[-1] - fvals[0]) <= ftol * (abs(fvals[0]) + ftol):
+            break
+        centroid = np.mean(simplex[:-1], axis=0)
+        worst = simplex[-1]
+        refl = centroid + (centroid - worst)
+        f_refl = fn(refl)
+        if f_refl < fvals[0]:
+            expand = centroid + 2.0 * (centroid - worst)
+            f_exp = fn(expand)
+            if f_exp < f_refl:
+                simplex[-1], fvals[-1] = expand, f_exp
+            else:
+                simplex[-1], fvals[-1] = refl, f_refl
+        elif f_refl < fvals[-2]:
+            simplex[-1], fvals[-1] = refl, f_refl
+        else:
+            contract = centroid + 0.5 * (worst - centroid)
+            f_con = fn(contract)
+            if f_con < fvals[-1]:
+                simplex[-1], fvals[-1] = contract, f_con
+            else:
+                best = simplex[0]
+                simplex = [best] + [best + 0.5 * (v - best) for v in simplex[1:]]
+                fvals = [fvals[0]] + [fn(v) for v in simplex[1:]]
+    i_best = int(np.argmin(fvals))
+    return simplex[i_best], fvals[i_best]
+
+
+def lstsq_fit_logistic5(predicted, subjective):
+    """The fit with one 3-column least-squares solve per objective value,
+    63 grid points scored one by one."""
+    x, y = _paired(predicted, subjective, minimum=6)
+    mu, sd = float(x.mean()), float(x.std()) or 1.0
+    my, sy = float(y.mean()), float(y.std()) or 1.0
+    z, w = (x - mu) / sd, (y - my) / sy
+
+    def solve(p):
+        return lstsq_solve(z, w, p)
+
+    def sse(p):
+        return solve(p)[1]
+
+    centres = np.percentile(z, np.arange(10, 100, 10))
+    start = min(
+        (np.array([2.0**k, c]) for k in range(-3, 4) for c in centres), key=sse
+    )
+    p, _ = loop_nelder_mead(sse, start)
+    p, _ = loop_nelder_mead(sse, p)  # polish pass
+    c_s, c_z, c_1 = solve(p)[0] * sy
+    beta = np.array([c_s, p[0] / sd, mu + p[1] * sd, c_z / sd, my + c_1 - c_z * mu / sd])
+    r = logistic5(beta, x) - y
+    rmse = math.sqrt(float(r @ r) / x.size)
+    return Logistic5Params(*(float(b) for b in beta), rmse=rmse)
+
+
 def bits(v):
     return np.asarray(v, dtype=np.float64).tobytes()
 
@@ -348,6 +432,135 @@ def test_fit_order_invariant(rng):
     ga = logistic5(fit_a.as_array(), grid)
     gb = logistic5(fit_b.as_array(), grid)
     assert np.abs(ga - gb).max() < 1e-5
+
+
+def standardised(x, y):
+    """(z, w) as fit_logistic5 searches them."""
+    sd, sy = float(x.std()) or 1.0, float(y.std()) or 1.0
+    return (x - float(x.mean())) / sd, (y - float(y.mean())) / sy
+
+
+@st.composite
+def objective_cases(draw):
+    """A standardised set, and a (slope, centre) at which to score it."""
+    n = draw(st.integers(6, 400))
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    shape = draw(st.sampled_from(["noisy", "constant x", "constant y", "two x", "logistic"]))
+    x = scale * r.normal(0.0, 1.0, n)
+    if shape == "constant x":
+        x = np.full(n, scale)
+    elif shape == "two x":
+        x = scale * r.integers(0, 2, n).astype(float)
+    if shape == "constant y":
+        y = np.full(n, 3.0)
+    elif shape == "logistic":
+        y = logistic5([40.0, 2.0 / scale, 0.3 * scale, 1.5 / scale, 20.0], x)
+    else:
+        y = logistic5([40.0, 2.0 / scale, 0.0, 1.5 / scale, 20.0], x) + r.normal(0.0, 5.0, n)
+    slope = draw(
+        st.one_of(
+            st.floats(-20.0, 20.0),
+            st.floats(-1e6, 1e6),  # |t| > 500: the clipped tails
+            st.sampled_from([0.0, 1e-12, 1e-8, 1e-4, 2.0**-8]),  # nearly affine
+        )
+    )
+    centre = draw(st.floats(-4.0, 4.0))
+    return (*standardised(x, y), (slope, centre))
+
+
+def exact_sse(s, z, w):
+    """The SSE of w on [s, z, 1] in rational arithmetic: Gram-Schmidt on
+    the float values as given, with no rounding."""
+    basis = []
+    for col in (s, z, np.ones_like(z)):
+        v = [Fraction(float(a)) for a in col]
+        for b, bb in basis:
+            c = sum(a * e for a, e in zip(v, b)) / bb
+            v = [a - c * e for a, e in zip(v, b)]
+        bb = sum(a * a for a in v)
+        if bb:
+            basis.append((v, bb))
+    r = [Fraction(float(a)) for a in w]
+    for b, bb in basis:
+        c = sum(a * e for a, e in zip(r, b)) / bb
+        r = [a - c * e for a, e in zip(r, b)]
+    return float(sum(a * a for a in r))
+
+
+# Six points, all on the sigmoid's flat tail at (6, 4), where the lstsq SSE
+# is off by 8.6e-11: 1.55831403925 against the exact 1.55831403917.
+_Z6, _W6 = standardised(
+    np.array([0.0855, -0.6124, 1.4787, 0.0291, -1.7048, 0.7239]),
+    np.array([0.9143, 0.0343, 0.8584, -0.6878, -1.8493, 0.7301]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(objective_cases())
+@example((_Z6, _W6, (6.0, 4.0)))
+def test_projected_sse_is_the_least_squares_sse(case):
+    z, w, p = case
+    n, ww = z.size, float(w @ w)
+    sse, sse_rows = _projected_sse(z, w)
+    got = [sse(p), float(sse_rows(np.array([p]))[0])]
+    s = logistic5((1.0, p[0], p[1], 0.0, 0.0), z)
+    affine = np.stack([z, np.ones_like(z)], axis=1)
+    s_perp = np.linalg.norm(s - affine @ np.linalg.lstsq(affine, s, rcond=None)[0])
+    s_scale = max(np.linalg.norm(s), math.sqrt(n))
+    cutoff = np.finfo(np.float64).eps * max(n, 3) * s_scale
+    if s_perp >= 1e3 * cutoff:
+        # Where the sigmoid is nearly affine in z, forming s_perp leaves
+        # rounding of about n * eps * |s - mean(s)| in it; lstsq loses digits
+        # there too.  Away from that, the bound is 1e-12 of |w|^2.
+        near_affine = n * np.finfo(np.float64).eps * np.linalg.norm(s - s.mean()) / s_perp
+        exact = exact_sse(s, z, w)
+        assert max(abs(g - exact) for g in got) <= (1e-12 + near_affine) * ww
+        # lstsq's own SSE is off by up to about eps * |basis| / |s_perp|
+        # of |w|^2, so it is a reference only where s_perp is not small.
+        if s_perp >= 1e-3 * s_scale:
+            assert max(abs(g - lstsq_solve(z, w, p)[1]) for g in got) <= 1e-12 * ww
+    elif s_perp <= 0.5 * cutoff:
+        # Below the cutoff the sigmoid adds nothing: the SSE is |w_perp|^2,
+        # the value at slope 0, where the sigmoid is exactly 0.  (The
+        # margin covers rounding in this test's own estimate of |s_perp|.)
+        assert got == [sse((0.0, 0.0))] * 2
+        assert abs(got[0] - lstsq_solve(z, w, (0.0, 0.0))[1]) <= 1e-12 * ww
+
+
+def test_projected_sse_of_a_nan_basis_is_inf():
+    z, w = standardised(np.arange(10.0), np.arange(10.0) ** 2)
+    sse, _ = _projected_sse(z, w)
+    with np.errstate(invalid="ignore"):
+        for p in [(math.nan, 0.0), (math.inf, float(z[3]))]:  # inf * 0 = nan
+            assert sse(p) == math.inf
+
+
+def rated_subsets(seed, images=2000, schemes=15):
+    """The bench's rated-set recipe: MOS scattered round a logistic function
+    of the objective score, ~22 ratings per image, 3% outliers; the full set
+    and one subset per distortion scheme.  MOS is the plain per-image mean."""
+    rng = np.random.default_rng(seed)
+    scheme = np.arange(images) % schemes
+    severity = rng.uniform(0.0, 0.4, images) * rng.uniform(0.6, 1.0, schemes)[scheme]
+    quality = 95.0 - 90.0 / (1.0 + np.exp(-(severity - 0.18) / 0.05))
+    counts = rng.integers(20, 25, images)
+    scores = np.repeat(quality, counts) + rng.normal(0.0, 8.0, counts.sum())
+    outliers = rng.random(scores.size) < 0.03
+    scores[outliers] = rng.uniform(0.0, 100.0, int(outliers.sum()))
+    scores = np.clip(scores, 0.0, 100.0)
+    predicted = severity + rng.normal(0.0, 0.01, images)
+    bounds = np.concatenate([[0], np.cumsum(counts)])
+    mos = np.array([scores[bounds[i] : bounds[i + 1]].mean() for i in range(images)])
+    sets = [np.ones(images, dtype=bool)] + [scheme == k for k in range(schemes)]
+    return [(predicted[sel], mos[sel]) for sel in sets]
+
+
+@pytest.mark.parametrize("seed", [2000, 2001, 2002])
+def test_fit_is_bit_identical_to_the_lstsq_fit(seed):
+    for x, y in rated_subsets(seed):
+        want = lstsq_fit_logistic5(x, y).as_array().tobytes()
+        assert fit_logistic5(x, y).as_array().tobytes() == want, x.size
 
 
 def test_plcc_rmse_perfect_and_shifted(rng):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from bandgauge.classifier import _BLOCK_PIXELS, forward_batch, init_params, save_params
 from bandgauge.cli import main
-from bandgauge.datagen import make_dataset
+from bandgauge.datagen import SynthSpec, gen_base, make_dataset, quantize_bitdepth
 from bandgauge.freq import pws_lfm
 from bandgauge.imgcore import BLOCK_PIXELS, PlanarImage, load_image, save_image, tile
 from bandgauge.pipeline import RunConfig, score_image
@@ -180,6 +180,22 @@ def test_baseline_verdicts_follow_the_symmetries_of_the_square(n, cols, rows, se
         want = np.ascontiguousarray(square_symmetry(prob, turns, transpose))
         assert got.tobytes() == want.tobytes(), (turns, transpose)
         assert out.banded_patch_count == res.banded_patch_count
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["linear_ramp", "radial_ramp", "sky_gradient", "mixed_scene"]),
+    st.sampled_from([32, 64, 128]),
+    st.integers(0, 2**32 - 1),
+)
+def test_baseline_q_does_not_fall_as_the_depth_falls(kind, n, seed):
+    # From 6 bits, where datagen's ground truth starts to call tiles banded,
+    # down to 3.  From 8 to 7 bits q does fall on some ramps and mixed
+    # scenes; that step is an observation, not part of the property.
+    base = gen_base(SynthSpec(kind, size=256, bit_depth=8, seed=seed))
+    config = RunConfig(patch_size=n)
+    q = [score_image(quantize_bitdepth(base, d), config).score.q for d in (6, 5, 4, 3)]
+    assert q == sorted(q), (kind, n, seed, q)
 
 
 def rgb_1080p(content):
