@@ -9,7 +9,7 @@ from .classifier import (
     save_params,
     train,
 )
-from .freq import HighFreqMap, LowFreqMap, PwsConfig, pws_energy, pws_lfm, sobel_hfm
+from .freq import LowFreqMap, PwsConfig, pws_energy, pws_lfm, sobel_hfm
 from .imgcore import (
     Label,
     PatchGrid,

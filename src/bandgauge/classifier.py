@@ -26,7 +26,7 @@ import numpy as np
 
 from .checks import check
 from .csvfile import write_rows
-from .freq import HighFreqMap, LowFreqMap
+from .freq import LowFreqMap
 from .imgcore import Label
 
 
@@ -125,13 +125,19 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class PatchSample:
-    hfm: HighFreqMap
+    """One training tile: its (N, N) Sobel map as a read-only float64 array,
+    its low-frequency map and its label."""
+
+    hfm: np.ndarray
     lfm: LowFreqMap
     label: Label
 
     def __post_init__(self):
-        if self.hfm.values.shape != self.lfm.values.shape:
+        hfm = np.asarray(self.hfm, dtype=np.float64).view()
+        if hfm.shape != self.lfm.values.shape:
             raise ValueError("frequency maps must share one shape")
+        hfm.flags.writeable = False
+        object.__setattr__(self, "hfm", hfm)
 
 
 @dataclass(frozen=True)
@@ -361,7 +367,7 @@ def _stack_maps(maps, params: DualNetParams):
     n = params.patch_size
     out = np.empty((len(maps), n, n), dtype=params.head_w1.dtype)
     for i, m in enumerate(maps):
-        v = m.values if isinstance(m, (HighFreqMap, LowFreqMap)) else np.asarray(m)
+        v = m.values if isinstance(m, LowFreqMap) else np.asarray(m)
         if v.shape != (n, n):
             raise ValueError(f"map shape {v.shape} does not match patch size {n}")
         out[i] = v

@@ -232,7 +232,7 @@ def _cmd_train(args, filecfg) -> int:
     if not bundle.train or not bundle.val:
         raise ValueError("manifest must provide non-empty train and val splits")
     if "patch_size" not in settings:
-        cfg = dataclasses.replace(cfg, patch_size=bundle.train[0].hfm.values.shape[0])
+        cfg = dataclasses.replace(cfg, patch_size=bundle.train[0].hfm.shape[0])
     params, history = classifier.train(
         bundle.train, cfg, val_samples=bundle.val, report_path=args.report
     )

@@ -22,7 +22,7 @@ import numpy as np
 from .checks import check
 from .classifier import PatchSample
 from .csvfile import read_rows, write_rows
-from .freq import HighFreqMap, PwsConfig
+from .freq import PwsConfig
 from .freq import pws_lfm, sobel_hfm  # noqa: F401 - wrapped by name in perfbench/tracer.py
 from .imgcore import (
     BLOCK_PIXELS,
@@ -283,7 +283,7 @@ def make_dataset(
             hv, lfms = tile_maps(block, pws_cfg)
             for k, (h, lfm) in enumerate(zip(hv, lfms), start):
                 x, y = grid.patches[k]
-                buckets[assigned[i]].append(PatchSample(HighFreqMap(h), lfm, labels[k]))
+                buckets[assigned[i]].append(PatchSample(h, lfm, labels[k]))
                 manifest.append(
                     ManifestRow(name, x, y, patch_size, labels[k], assigned[i])
                 )
@@ -375,7 +375,7 @@ def load_dataset(manifest_path, pws_cfg: PwsConfig | None = None):
                 f" leaves {r.image_path}"
             )
         hv, lfms = tile_maps(patch[None].astype(np.float64), pws_cfg)
-        buckets[r.split].append(PatchSample(HighFreqMap(hv[0]), lfms[0], r.label))
+        buckets[r.split].append(PatchSample(hv[0], lfms[0], r.label))
     return DatasetBundle(
         tuple(buckets["train"]),
         tuple(buckets["val"]),

@@ -2,7 +2,7 @@
 
 The high-frequency map is the gradient magnitude under the isotropic Sobel
 operator (sqrt-2 center weights), with image borders handled by edge
-replication.
+replication; ``sobel_hfm`` returns it as a plain float64 array.
 
 The low-frequency map is a piecewise-smooth approximation of the input,
 obtained by descending
@@ -47,37 +47,6 @@ import numpy as np
 from .checks import check
 
 _SQ2 = np.sqrt(2.0)
-SOBEL_X = np.array([[-1.0, 0.0, 1.0], [-_SQ2, 0.0, _SQ2], [-1.0, 0.0, 1.0]])
-SOBEL_Y = SOBEL_X.T.copy()
-
-
-@dataclass(frozen=True)
-class HighFreqMap:
-    """Non-negative gradient magnitudes, same shape as the source.
-
-    A field of more than two dimensions is a stack of tiles' maps over its
-    last two axes.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim < 2:
-            raise ValueError("expected a magnitude field of at least 2 dimensions")
-        if v.size and float(v.min()) < 0.0:
-            raise ValueError("gradient magnitudes must be non-negative")
-        v = np.ascontiguousarray(v)
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[-1]
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[-2]
 
 
 @dataclass(frozen=True)
@@ -100,14 +69,6 @@ class LowFreqMap:
         object.__setattr__(self, "values", v)
         if len(self.energy_trace) >= 2 and self.energy_trace[-1] > self.energy_trace[0] + 1e-9:
             raise ValueError("solver ended above its starting energy")
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass(frozen=True)
@@ -142,9 +103,10 @@ def _as_plane(img) -> np.ndarray:
     return arr
 
 
-def sobel_hfm(patch) -> HighFreqMap:
-    """Gradient-magnitude map of a 2-D float array, or of a stack of them
-    over the last two axes, each with its own replicated border."""
+def sobel_hfm(patch) -> np.ndarray:
+    """Gradient magnitudes of a 2-D float array, or of a stack of them over
+    the last two axes, each with its own replicated border: a float64 array
+    of the input's shape, non-negative wherever the input is finite."""
     arr = np.ascontiguousarray(patch, dtype=np.float64)
     if arr.ndim < 2:
         raise ValueError("expected an array of at least 2 dimensions")
@@ -156,7 +118,7 @@ def sobel_hfm(patch) -> HighFreqMap:
     gx *= gx
     gy *= gy
     gx += gy
-    return HighFreqMap(np.sqrt(gx, out=gx))
+    return np.sqrt(gx, out=gx)
 
 
 # The Sobel helpers run each step as one pass over the flattened stack, so

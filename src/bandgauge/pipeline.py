@@ -110,8 +110,8 @@ def score_image(
 
 def tile_maps(block, pws: PwsConfig) -> tuple[np.ndarray, list[LowFreqMap]]:
     """The model's inputs for a (B, n, n) run of tiles, in training and in
-    scoring: their stacked Sobel values and one low-frequency map per tile."""
-    return sobel_hfm(block).values, [pws_lfm(t, pws) for t in block]
+    scoring: their (B, n, n) Sobel array and one low-frequency map per tile."""
+    return sobel_hfm(block), [pws_lfm(t, pws) for t in block]
 
 
 def _classify(luma, grid, stats, config: RunConfig, model):
@@ -123,7 +123,7 @@ def _classify(luma, grid, stats, config: RunConfig, model):
         """(start, Sobel maps, probabilities) of one run of tiles."""
         start, block = item
         if model is None:
-            hv = sobel_hfm(block).values
+            hv = sobel_hfm(block)
             sf = stats.sf[start : start + len(block)]
             return start, hv, config.baseline.banded(hv.mean(axis=(-2, -1)), sf).astype(float)
         hv, lfms = tile_maps(block, config.pws)

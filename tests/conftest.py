@@ -84,16 +84,18 @@ def train_val(samples, seed):
 
 
 def simpson_integral(fn, lo, hi, n=20000):
-    """Composite Simpson; n is forced even."""
+    """Composite Simpson; n is forced even, and fn takes all n + 1 nodes as
+    one array."""
     if n % 2:
         n += 1
     xs = np.linspace(lo, hi, n + 1)
-    ys = np.array([fn(x) for x in xs])
+    ys = fn(xs)
     h = (hi - lo) / n
     return h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-1:2].sum())
 
 
 def t_pdf(x, dof):
+    """t density at each point of an array."""
     c = math.exp(math.lgamma((dof + 1) / 2.0) - math.lgamma(dof / 2.0))
     c /= math.sqrt(dof * math.pi)
     return c * (1.0 + x * x / dof) ** (-(dof + 1) / 2.0)
@@ -127,17 +129,18 @@ def t_upper_quantile_by_integration(p, dof):
 
 
 def f_pdf(x, d1, d2):
-    if x <= 0:
-        return 0.0
+    """F density at each point of an array; 0 where x <= 0."""
+    pos = x > 0
+    x = np.where(pos, x, 1.0)
     ln = (
         math.lgamma((d1 + d2) / 2.0)
         - math.lgamma(d1 / 2.0)
         - math.lgamma(d2 / 2.0)
         + (d1 / 2.0) * math.log(d1 / d2)
-        + (d1 / 2.0 - 1.0) * math.log(x)
-        - ((d1 + d2) / 2.0) * math.log(1.0 + d1 * x / d2)
+        + (d1 / 2.0 - 1.0) * np.log(x)
+        - ((d1 + d2) / 2.0) * np.log(1.0 + d1 * x / d2)
     )
-    return math.exp(ln)
+    return np.where(pos, np.exp(ln), 0.0)
 
 
 def f_cdf_by_integration(x, d1, d2, n=40000):

@@ -71,7 +71,7 @@ def test_a1_classifier_on_synthetic(trained):
     bundle, params, history, train_seconds = trained
     n_total = len(bundle.train) + len(bundle.val) + len(bundle.test)
     assert n_total >= 2000
-    h = np.stack([s.hfm.values for s in bundle.test])
+    h = np.stack([s.hfm for s in bundle.test])
     l = np.stack([s.lfm.values for s in bundle.test])
     y = np.array([1 if s.label.is_banded else 0 for s in bundle.test])
     p = forward_batch(params, h, l)
@@ -338,7 +338,7 @@ def test_a7_band2k_if_available(tmp_path):
     bundle = load_dataset(manifest)
     cfg = TrainConfig(patch_size=235)
     params, _ = train(bundle.train, cfg, val_samples=bundle.val)
-    h = np.stack([s.hfm.values for s in bundle.test])
+    h = np.stack([s.hfm for s in bundle.test])
     l = np.stack([s.lfm.values for s in bundle.test])
     y = np.array([1 if s.label.is_banded else 0 for s in bundle.test])
     p = forward_batch(params, h, l)

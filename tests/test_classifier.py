@@ -30,7 +30,7 @@ from bandgauge.classifier import (
     save_params,
     train,
 )
-from bandgauge.freq import HighFreqMap, LowFreqMap, PwsConfig, sobel_hfm
+from bandgauge.freq import LowFreqMap, PwsConfig, sobel_hfm
 from bandgauge.cli import main
 from bandgauge.imgcore import Label, PlanarImage, save_image
 from bandgauge.pipeline import RunConfig, score_image
@@ -53,7 +53,7 @@ def forward(params, hfm, lfm):
 
 def make_sample(hfm_arr, lfm_arr, banded):
     return PatchSample(
-        HighFreqMap(np.abs(hfm_arr)),
+        np.abs(hfm_arr),
         LowFreqMap(lfm_arr),
         Label.BANDED if banded else Label.NON_BANDED,
     )
@@ -328,7 +328,7 @@ def test_toy_set_reaches_full_train_accuracy():
     )
     tr, va = train_val(samples, cfg.seed)
     params, history = train(tr, cfg, val_samples=va)
-    h = np.stack([s.hfm.values for s in samples])
+    h = np.stack([s.hfm for s in samples])
     l = np.stack([s.lfm.values for s in samples])
     y = np.array([s.label.is_banded for s in samples])
     p = forward_batch(params, h, l)
@@ -465,8 +465,8 @@ def test_trained_model_separates_ramp_from_noise():
 
     ramp = quantized_ramp_patch(16, levels=4)
     noise = np.random.default_rng(99).random((16, 16))
-    p_ramp = forward(params, sobel_hfm(ramp).values, ramp)
-    p_noise = forward(params, sobel_hfm(noise).values, noise)
+    p_ramp = forward(params, sobel_hfm(ramp), ramp)
+    p_noise = forward(params, sobel_hfm(noise), noise)
     assert p_ramp > 0.5
     assert p_noise <= 0.5
 
@@ -483,14 +483,14 @@ def test_baseline_noise_patch(rng):
     cfg = BaselineConfig()
     _, _, sf = spatial_frequency(patch)
     assert sf >= cfg.sf_ceiling  # the rule's reason: too active
-    assert not cfg.banded(float(sobel_hfm(patch).values.mean()), sf)
+    assert not cfg.banded(float(sobel_hfm(patch).mean()), sf)
     assert one_tile_prob(patch) == 0.0
 
 
 def test_baseline_quantized_ramp():
     patch = quantized_ramp_patch(64, levels=4)
     cfg = BaselineConfig()
-    mean_grad = float(sobel_hfm(patch).values.mean())
+    mean_grad = float(sobel_hfm(patch).mean())
     _, _, sf = spatial_frequency(patch)
     assert mean_grad > cfg.grad_floor and sf < cfg.sf_ceiling
     assert cfg.banded(mean_grad, sf)

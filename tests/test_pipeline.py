@@ -129,7 +129,7 @@ def test_network_scores_what_it_was_trained_on(tmp_path, monkeypatch):
     assert len(samples) == len(tile(img, n)) == 36 and len(calls) == len(starts) == 2
     for s in starts:
         run = samples[s : s + step]
-        lfms = calls[np.stack([t.hfm.values for t in run]).tobytes()]
+        lfms = calls[np.stack([t.hfm for t in run]).tobytes()]
         assert lfms == [t.lfm.values.tobytes() for t in run]
 
 

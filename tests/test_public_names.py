@@ -1,4 +1,5 @@
-"""Every public function, class and method in bandgauge has a reader.
+"""Every public function, class, method and module-level name in bandgauge
+has a reader.
 
 A public name that nothing in the package or the bench reads is either dead
 or kept only for tests; the latter must say why on the allow-list below.
@@ -26,14 +27,21 @@ def _public(name):
 
 
 def _definitions():
-    """(qualified name, bare name) of every public module-level function
-    and class, and every public method of a public class."""
+    """(qualified name, bare name) of every public module-level function,
+    class and assigned name, and every public method of a public class."""
     out = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name) and _public(name.id):
+                            out.append((f"{path.stem}.{name.id}", name.id))
+                continue
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or not _public(node.name):
                 continue
             out.append((f"{path.stem}.{node.name}", node.name))
@@ -46,11 +54,12 @@ def _definitions():
 
 def _references():
     """Every identifier read as a Name or an Attribute in the package and
-    the bench scripts."""
+    the bench scripts.  A Name counts only where it is loaded, so that a
+    constant's own assignment is not its reader."""
     names = set()
     for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
