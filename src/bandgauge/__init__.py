@@ -28,7 +28,6 @@ from .subjective import (
     OutlierConfig,
     RatingSet,
     grubbs_threshold,
-    mos,
     remove_outliers,
 )
 

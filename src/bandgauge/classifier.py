@@ -228,17 +228,42 @@ def _taps(n):
     return out
 
 
-def _conv_forward(x, w, b):
+def _buffer(ws, key, shape, dtype):
+    """An uninitialised array of this shape and dtype.
+
+    Without a workspace it is fresh.  With one, key names a role in the
+    step (never a shape), and the first call for it sizes its buffer: in
+    train that is the first step, the largest batch.  A later call gets a
+    view of the buffer's leading rows, or a fresh array if it needs more
+    rows (a validation set larger than a batch) or another shape.
+    """
+    if ws is None:
+        return np.empty(shape, dtype)
+    buf = ws.get(key)
+    if buf is None:
+        buf = ws[key] = np.empty(shape, dtype)
+    if buf.shape[0] < shape[0] or buf.shape[1:] != shape[1:] or buf.dtype != dtype:
+        return np.empty(shape, dtype)
+    return buf[: shape[0]]
+
+
+def _part(ws, key):
+    """The sub-workspace for key, or None without a workspace."""
+    return None if ws is None else ws.setdefault(key, {})
+
+
+def _conv_forward(x, w, b, ws=None):
     """3x3 convolution, stride 2, pad 1. x: (B, C, H, W) -> (B, F, Ho, Wo).
 
     Lowered to one matmul per patch over columns (B, C*9, Ho*Wo), which
     W.reshape(F, C*9) @ cols turns into (B, F, Ho*Wo) with no re-layout.
-    The zero padding is written straight into the columns.
+    The zero padding is written straight into the columns.  With a
+    workspace, the columns and the output are its buffers.
     """
     bsz, c, h, wi = x.shape
     f = w.shape[0]
     ho, wo = (h + 1) // 2, (wi + 1) // 2
-    cols = np.empty((bsz, c, 3, 3, ho, wo), dtype=x.dtype)
+    cols = _buffer(ws, "cols", (bsz, c, 3, 3, ho, wo), x.dtype)
     for ky, (ylo, yhi, ys) in enumerate(_taps(h)):
         for kx, (xlo, xhi, xs) in enumerate(_taps(wi)):
             tap = cols[:, :, ky, kx]
@@ -248,80 +273,89 @@ def _conv_forward(x, w, b):
             tap[:, :, ylo:yhi, xhi:] = 0
             tap[:, :, ylo:yhi, xlo:xhi] = x[:, :, ys, xs]
     cols = cols.reshape(bsz, c * 9, ho * wo)
-    out = w.reshape(f, c * 9) @ cols
+    out = _buffer(ws, "z", (bsz, f, ho * wo), np.result_type(w, cols))
+    np.matmul(w.reshape(f, c * 9), cols, out=out)
     out += b[:, None]
     return out.reshape(bsz, f, ho, wo), (cols, x.shape)
 
 
-def _conv_param_grads(dout, cache):
+def _conv_param_grads(dout, cache, ws=None):
     """Weight and bias gradients of _conv_forward."""
     cols, (_, c, _, _) = cache
     bsz, f = dout.shape[:2]
     dmat = dout.reshape(bsz, f, -1)
-    dw = (dmat @ cols.mT).sum(axis=0)
+    per_patch = _buffer(ws, "dw", (bsz, f, c * 9), np.result_type(dmat, cols))
+    dw = np.matmul(dmat, cols.mT, out=per_patch).sum(axis=0)
     return dw.reshape(f, c, 3, 3), dmat.sum(axis=(0, 2))
 
 
-def _conv_input_grad(dout, w, cache):
+def _conv_input_grad(dout, w, cache, ws=None):
     """Input gradient of _conv_forward: W^T @ dout scattered back through the
     9 taps into an unpadded dx."""
     _, x_shape = cache
     bsz, c, h, wi = x_shape
     f, ho, wo = dout.shape[1:]
-    dcols = w.reshape(f, c * 9).T @ dout.reshape(bsz, f, ho * wo)
+    dcols = _buffer(ws, "dcols", (bsz, c * 9, ho * wo), np.result_type(w, dout))
+    np.matmul(w.reshape(f, c * 9).T, dout.reshape(bsz, f, ho * wo), out=dcols)
     d6 = dcols.reshape(bsz, c, 3, 3, ho, wo)
-    dx = np.zeros(x_shape, dtype=dout.dtype)
+    dx = _buffer(ws, "dx", x_shape, dout.dtype)
+    dx[...] = 0
     for ky, (ylo, yhi, ys) in enumerate(_taps(h)):
         for kx, (xlo, xhi, xs) in enumerate(_taps(wi)):
             dx[:, :, ys, xs] += d6[:, :, ky, kx, ylo:yhi, xlo:xhi]
     return dx
 
 
-def _branch_forward(bp: BranchParams, x, keep_caches=True):
-    """Features of one branch and, if kept, each layer's (cache, z, a) for
-    the backward pass; without them one layer's intermediates live at a time."""
+def _branch_forward(bp: BranchParams, x, keep_caches=True, ws=None):
+    """Features of one branch and, if kept, each layer's (cache, a) for the
+    backward pass; without them and without a workspace, one layer's
+    intermediates live at a time.  The rectifier runs in place: a > 0
+    exactly where its input z > 0, so a alone gives backward its mask."""
     caches = []
     a = x
     early = None
-    for w, b in zip(bp.conv_w, bp.conv_b):
-        z, cache = _conv_forward(a, w, b)
-        a = np.maximum(z, 0.0)
+    for i, (w, b) in enumerate(zip(bp.conv_w, bp.conv_b)):
+        z, cache = _conv_forward(a, w, b, _part(ws, i))
+        a = np.maximum(z, 0.0, out=z)
         if keep_caches:
-            caches.append((cache, z, a))
+            caches.append((cache, a))
         if early is None:
             early = a.mean(axis=(2, 3))
     feat = np.concatenate([early, a.mean(axis=(2, 3))], axis=1)
     return feat, caches
 
 
-def _branch_backward(bp: BranchParams, caches, dfeat):
+def _branch_backward(bp: BranchParams, caches, dfeat, ws=None):
+    """Gradients of one branch.  Its workspace holds only this call's
+    intermediates, so both branches may share one, one after the other."""
     f1 = bp.conv_w[0].shape[0]
     d_early, d_late = dfeat[:, :f1], dfeat[:, f1:]
     grads_w = [None] * len(bp.conv_w)
     grads_b = [None] * len(bp.conv_w)
 
-    _, z_last, a_last = caches[-1]
+    _, a_last = caches[-1]
     area = a_last.shape[2] * a_last.shape[3]
-    da = np.broadcast_to(
-        (d_late / area)[:, :, None, None], a_last.shape
-    ).astype(a_last.dtype)
+    da = _buffer(ws, "da", a_last.shape, a_last.dtype)
+    np.copyto(da, (d_late / area)[:, :, None, None])
     for i in range(len(caches) - 1, -1, -1):
-        cache, z, a = caches[i]
+        cache, a = caches[i]
+        layer = _part(ws, i)
         if i == 0:
             area0 = a.shape[2] * a.shape[3]
-            da = da + (d_early / area0)[:, :, None, None]
-        dz = da * (z > 0)
-        grads_w[i], grads_b[i] = _conv_param_grads(dz, cache)
+            da += (d_early / area0)[:, :, None, None]
+        active = np.greater(a, 0, out=_buffer(layer, "active", a.shape, bool))
+        dz = np.multiply(da, active, out=da)
+        grads_w[i], grads_b[i] = _conv_param_grads(dz, cache, layer)
         if i > 0:  # the network input needs no gradient
-            da = _conv_input_grad(dz, bp.conv_w[i], cache)
+            da = _conv_input_grad(dz, bp.conv_w[i], cache, layer)
     return grads_w, grads_b
 
 
-def _net_forward(params: DualNetParams, h_batch, l_batch, keep_caches=True):
+def _net_forward(params: DualNetParams, h_batch, l_batch, keep_caches=True, ws=None):
     xh = h_batch[:, None, :, :]
     xl = l_batch[:, None, :, :]
-    fh, cache_h = _branch_forward(params.branch_h, xh, keep_caches)
-    fl, cache_l = _branch_forward(params.branch_l, xl, keep_caches)
+    fh, cache_h = _branch_forward(params.branch_h, xh, keep_caches, _part(ws, "h"))
+    fl, cache_l = _branch_forward(params.branch_l, xl, keep_caches, _part(ws, "l"))
     feat = np.concatenate([fh, fl], axis=1)
     h1 = feat @ params.head_w1 + params.head_b1
     r = np.maximum(h1, 0.0)
@@ -376,10 +410,14 @@ def _stack_maps(maps, params: DualNetParams):
     return out
 
 
-def loss_and_grads(params: DualNetParams, h_batch, l_batch, y):
-    """Binary cross entropy and gradients for every tensor (canonical order)."""
+def loss_and_grads(params: DualNetParams, h_batch, l_batch, y, ws=None):
+    """Binary cross entropy and gradients for every tensor (canonical order).
+
+    ws, a dict, is the workspace that the step's large intermediates are
+    written into, so that steps reuse memory instead of allocating it.
+    """
     y = np.asarray(y, dtype=np.float64)
-    logit, (feat, h1, r, cache_h, cache_l) = _net_forward(params, h_batch, l_batch)
+    logit, (feat, h1, r, cache_h, cache_l) = _net_forward(params, h_batch, l_batch, ws=ws)
     zl = logit.astype(np.float64)
     loss = _bce(zl, y)
     bsz = len(y)
@@ -395,8 +433,9 @@ def loss_and_grads(params: DualNetParams, h_batch, l_batch, y):
     dfeat = dh1 @ params.head_w1.T
 
     half = params.feature_dim // 2
-    gw_h, gb_h = _branch_backward(params.branch_h, cache_h, dfeat[:, :half])
-    gw_l, gb_l = _branch_backward(params.branch_l, cache_l, dfeat[:, half:])
+    back = _part(ws, "back")
+    gw_h, gb_h = _branch_backward(params.branch_h, cache_h, dfeat[:, :half], back)
+    gw_l, gb_l = _branch_backward(params.branch_l, cache_l, dfeat[:, half:], back)
 
     grads = []
     for gw, gb in ((gw_h, gb_h), (gw_l, gb_l)):
@@ -478,35 +517,45 @@ def train(samples, cfg: TrainConfig, val_samples, report_path=None):
     best_tensors, best_epoch = None, 0
     history = []
 
-    for epoch in range(1, cfg.epochs + 1):
-        rng = np.random.default_rng([cfg.seed, epoch])
-        order = rng.permutation(len(train_set))
-        losses = []
-        for s in range(0, len(order), cfg.batch_size):
-            idx = order[s : s + cfg.batch_size]
-            loss, grads = loss_and_grads(params, h_tr[idx], l_tr[idx], y_tr[idx])
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(
-                    f"non-finite loss at epoch {epoch}, step {s // cfg.batch_size}"
-                )
-            step += 1
-            for t, m, v, g in zip(tensors, adam_m, adam_v, grads):
-                m *= b1
-                m += (1 - b1) * g
-                v *= b2
-                v += (1 - b2) * g * g
-                mh = m / (1 - b1**step)
-                vh = v / (1 - b2**step)
-                t -= cfg.learning_rate * mh / (np.sqrt(vh) + eps)
-            losses.append(loss)
-        val_zl = _net_forward(params, h_va, l_va, keep_caches=False)[0].astype(np.float64)
-        val_loss = _bce(val_zl, y_va)
-        val_acc = float(np.mean((_sigmoid(val_zl) > 0.5) == (y_va > 0.5)))
-        history.append(EpochStats(epoch, float(np.mean(losses)), val_loss, val_acc))
-        if val_acc > best_acc:
-            best_acc = val_acc
-            best_tensors = [t.copy() for t in tensors]
-            best_epoch = epoch
+    # One workspace for the whole call: every step and validation pass
+    # writes its large intermediates into it, and it goes on every exit.
+    ws = {}
+    try:
+        for epoch in range(1, cfg.epochs + 1):
+            rng = np.random.default_rng([cfg.seed, epoch])
+            order = rng.permutation(len(train_set))
+            losses = []
+            for s in range(0, len(order), cfg.batch_size):
+                idx = order[s : s + cfg.batch_size]
+                shape = (idx.size, *h_tr.shape[1:])
+                h = np.take(h_tr, idx, axis=0, out=_buffer(ws, "batch_h", shape, h_tr.dtype))
+                l = np.take(l_tr, idx, axis=0, out=_buffer(ws, "batch_l", shape, l_tr.dtype))
+                loss, grads = loss_and_grads(params, h, l, y_tr[idx], ws)
+                if not np.isfinite(loss):
+                    raise TrainingDivergedError(
+                        f"non-finite loss at epoch {epoch}, step {s // cfg.batch_size}"
+                    )
+                step += 1
+                for t, m, v, g in zip(tensors, adam_m, adam_v, grads):
+                    m *= b1
+                    m += (1 - b1) * g
+                    v *= b2
+                    v += (1 - b2) * g * g
+                    mh = m / (1 - b1**step)
+                    vh = v / (1 - b2**step)
+                    t -= cfg.learning_rate * mh / (np.sqrt(vh) + eps)
+                losses.append(loss)
+            val_logit = _net_forward(params, h_va, l_va, keep_caches=False, ws=ws)[0]
+            val_zl = val_logit.astype(np.float64)
+            val_loss = _bce(val_zl, y_va)
+            val_acc = float(np.mean((_sigmoid(val_zl) > 0.5) == (y_va > 0.5)))
+            history.append(EpochStats(epoch, float(np.mean(losses)), val_loss, val_acc))
+            if val_acc > best_acc:
+                best_acc = val_acc
+                best_tensors = [t.copy() for t in tensors]
+                best_epoch = epoch
+    finally:
+        ws.clear()
 
     final = replace(
         _rebuild(params, best_tensors), seed=cfg.seed, epochs_trained=best_epoch

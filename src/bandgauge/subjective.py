@@ -11,6 +11,10 @@ value
 and the extreme point's deviation exceeds sd_multiplier * SD.  Removal is
 one point at a time with full recomputation, never shrinking a set below
 three scores.  The mean of the kept scores is the MOS.
+
+Sets of one size are screened together as one array: at each step every
+set still screening removes at most its one most deviant score, so the
+kept scores, their order and the MOS are those of screening each set alone.
 """
 
 from __future__ import annotations
@@ -57,13 +61,6 @@ class OutlierConfig:
         check("max_removals", self.max_removals, int, optional=True, ge=0)
 
 
-def _mean_sd(scores) -> tuple:
-    arr = np.asarray(scores, dtype=np.float64)
-    mean = float(arr.mean())
-    sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    return mean, sd
-
-
 @functools.lru_cache(maxsize=1024)
 def grubbs_threshold(n: int, sig_alpha: float = 0.05) -> float:
     """Critical value of the two-sided test for a sample of size n.
@@ -77,36 +74,67 @@ def grubbs_threshold(n: int, sig_alpha: float = 0.05) -> float:
     return (n - 1) / math.sqrt(n) * math.sqrt(t * t / (n - 2 + t * t))
 
 
+def _screen(block: np.ndarray, cfg: OutlierConfig):
+    """Screen the rows of a (sets, n) block of rating sets of one size.
+
+    Every row still screening at step t holds its n - t kept scores,
+    compacted in input order, so the row mean and SD are those of the set's
+    own kept scores, and each step removes at most one score per row.
+    Returns (MOS per row, the step at which each score was removed or -1
+    for a kept score).
+    """
+    m, n = block.shape
+    mos = np.empty(m)
+    removed_at = np.full((m, n), -1)
+    limit = n if cfg.max_removals is None else cfg.max_removals
+    rows = np.arange(m)  # block row of each row still screening
+    cols = np.broadcast_to(np.arange(n), (m, n))  # input position of each kept score
+    held = block
+    for t in range(n):
+        mean = held.mean(axis=1)
+        if n - t <= 3 or t >= limit:
+            mos[rows] = mean
+            break
+        sd = held.std(axis=1, ddof=1)
+        dev = np.abs(held - mean[:, None])
+        worst = dev.argmax(axis=1)  # ties go to the lowest index
+        d = dev[np.arange(rows.size), worst]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            go = (sd != 0.0) & (d / sd > grubbs_threshold(n - t, cfg.sig_alpha))
+        if cfg.sd_multiplier:
+            go &= d > cfg.sd_multiplier * sd
+        mos[rows[~go]] = mean[~go]
+        if not go.any():
+            break
+        on = np.flatnonzero(go)
+        keep = np.ones((on.size, n - t), dtype=bool)
+        keep[np.arange(on.size), worst[on]] = False
+        removed_at[rows[on], cols[on, worst[on]]] = t
+        held = held[on][keep].reshape(on.size, n - t - 1)
+        cols = cols[on][keep].reshape(on.size, n - t - 1)
+        rows = rows[on]
+    return mos, removed_at
+
+
 def remove_outliers(ratings: RatingSet, cfg: OutlierConfig = OutlierConfig()):
     """Iteratively drop the most deviant score while the tests agree.
 
-    Returns (kept, removed) tuples; order of kept scores is preserved and
-    ties on deviation resolve to the lowest index, so the result is
-    deterministic and independent of input permutation up to multiset.
+    Returns (kept, removed) tuples: kept scores in input order, removed ones
+    in removal order.  Ties on deviation resolve to the lowest index, so the
+    result is deterministic and independent of input permutation up to
+    multiset.
     """
-    kept = list(ratings.scores)
-    removed = []
-    max_removals = cfg.max_removals if cfg.max_removals is not None else len(kept)
-    while len(kept) > 3 and len(removed) < max_removals:
-        mean, sd = _mean_sd(kept)
-        if sd == 0.0:
-            break
-        deviations = [abs(s - mean) for s in kept]
-        worst = max(range(len(kept)), key=lambda i: (deviations[i], -i))
-        g = deviations[worst] / sd
-        if g <= grubbs_threshold(len(kept), cfg.sig_alpha):
-            break
-        if cfg.sd_multiplier and deviations[worst] <= cfg.sd_multiplier * sd:
-            break
-        removed.append(kept.pop(worst))
-    return tuple(kept), tuple(removed)
-
-
-def mos(scores) -> float:
-    """Arithmetic mean of the kept scores."""
-    if len(scores) == 0:
-        raise ValueError("cannot average an empty score set")
-    return float(np.mean(np.asarray(scores, dtype=np.float64)))
+    scores = ratings.scores
+    if not scores:
+        return (), ()
+    _, removed_at = _screen(np.array([scores]), cfg)
+    # Kept scores (-1) first in input order, then removed ones by step.
+    order = np.argsort(removed_at[0], kind="stable").tolist()
+    n_kept = int((removed_at[0] < 0).sum())
+    return (
+        tuple(scores[i] for i in order[:n_kept]),
+        tuple(scores[i] for i in order[n_kept:]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +163,20 @@ def write_mos_csv(results, path) -> None:
 
 
 def mos_pipeline(ratings, cfg: OutlierConfig = OutlierConfig()):
-    """Screen every rating set and aggregate: rows for write_mos_csv."""
-    out = []
-    for rs in ratings:
-        kept, removed = remove_outliers(rs, cfg)
-        out.append((rs.image_id, mos(kept), len(kept), len(removed)))
-    return out
+    """Screen every rating set and aggregate: rows for write_mos_csv, in
+    input order.  Sets of one size are screened together as one block."""
+    ratings = list(ratings)
+    sizes = np.array([len(rs.scores) for rs in ratings], dtype=np.intp)
+    if (sizes == 0).any():
+        raise ValueError("cannot average an empty score set")
+    mos = np.empty(len(ratings))
+    n_removed = np.empty(len(ratings), dtype=np.intp)
+    for n in np.unique(sizes):
+        members = np.flatnonzero(sizes == n)
+        block = np.array([ratings[i].scores for i in members], dtype=np.float64)
+        mos[members], removed_at = _screen(block, cfg)
+        n_removed[members] = (removed_at >= 0).sum(axis=1)
+    return [
+        (rs.image_id, v, n - r, r)
+        for rs, v, n, r in zip(ratings, mos.tolist(), sizes.tolist(), n_removed.tolist())
+    ]

@@ -1,8 +1,12 @@
 """Dual-branch classifier: forward, gradients, training, serialization."""
 
+import gc
 import math
 import struct
+import sys
+import tracemalloc
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -266,10 +270,14 @@ def min_preactivation_gap(params, h, l):
     central differences are only valid away from them."""
     from bandgauge.classifier import _net_forward
 
-    _, (feat, h1, r, cache_h, cache_l) = _net_forward(params, h, l)
+    _, (feat, h1, r, _, _) = _net_forward(params, h, l)
     gaps = [np.abs(h1).min()]
-    for caches in (cache_h, cache_l):
-        gaps.extend(np.abs(z).min() for _, z, _ in caches)
+    for bp, x in ((params.branch_h, h), (params.branch_l, l)):
+        a = x[:, None]
+        for w, b in zip(bp.conv_w, bp.conv_b):
+            z, _ = _conv_forward(a, w, b)
+            gaps.append(np.abs(z).min())
+            a = np.maximum(z, 0.0)
     return min(gaps)
 
 
@@ -411,6 +419,72 @@ def test_divergence_detected():
     tr, va = train_val(samples, cfg.seed)
     with pytest.raises(TrainingDivergedError):
         train(tr, cfg, val_samples=va)
+
+
+def test_one_workspace_gives_the_fresh_array_bits(rng):
+    # Batches of 32, 16 and 32 through one workspace: the short batch reads
+    # views of the 32-row buffers.  If one buffer served two roles in a
+    # step, or a result aliased the workspace, a later step would change it.
+    params = init_params(32, (4, 6, 8), 16, seed=1)
+    batches = []
+    for size in (32, 16, 32):
+        h, l = rng.random((2, size, 32, 32)).astype(np.float32)
+        batches.append((h, l, (np.arange(size) % 2).astype(np.float64)))
+    ws = {}
+    reused = [loss_and_grads(params, *batch, ws) for batch in batches]
+    assert ws
+    for (loss, grads), batch in zip(reused, batches):
+        want_loss, want = loss_and_grads(params, *batch)
+        assert loss.hex() == want_loss.hex()
+        assert [g.tobytes() for g in grads] == [g.tobytes() for g in want]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_diverged_train_leaves_nothing_behind():
+    # Batches of 16 tiles of 64 x 64: the workspace takes several MiB,
+    # against 1.5 MiB for the whole training set.
+    samples = toy_separable_set(40, patch=64, seed=2)
+    cfg = TrainConfig(learning_rate=1e300, batch_size=16, epochs=3, seed=0, patch_size=64)
+    tr, va = train_val(samples, cfg.seed)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(TrainingDivergedError) as caught:
+            train(tr, cfg, val_samples=va)
+        # The traceback keeps train's frame and its locals alive, but not
+        # the workspace: that goes on the way out.
+        held_by_traceback = tracemalloc.get_traced_memory()[0] - before
+        del caught
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held_by_traceback < 3 << 20
+    assert held < 64 << 10
+
+
+def test_two_trains_at_once_give_the_serial_bytes(tmp_path):
+    # Each call owns its workspace, so two calls on two threads, switching
+    # often, must not see each other's buffers.
+    samples = toy_separable_set(60, patch=16, seed=2)
+    runs = []
+    for seed in (3, 4):
+        cfg = TrainConfig(learning_rate=1e-3, batch_size=8, epochs=3, seed=seed,
+                          patch_size=16, widths=(2, 3, 4), fc_width=8)
+        runs.append((cfg, *train_val(samples, seed)))
+    serial = [train(tr, cfg, val_samples=va)[0] for cfg, tr, va in runs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(2) as pool:
+            futures = [pool.submit(train, tr, cfg, val_samples=va) for cfg, tr, va in runs]
+            pooled = [f.result()[0] for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for i, (a, b) in enumerate(zip(serial, pooled)):
+        save_params(a, tmp_path / f"serial{i}.bgw")
+        save_params(b, tmp_path / f"pooled{i}.bgw")
+        assert (tmp_path / f"serial{i}.bgw").read_bytes() == (tmp_path / f"pooled{i}.bgw").read_bytes()
 
 
 def test_report_written(tmp_path):

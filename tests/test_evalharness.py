@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from bandgauge.evalharness import (
     Logistic5Params,
+    _inversions,
     _paired,
     _projected_sse,
     _rankdata,
@@ -134,6 +135,28 @@ def loop_rankdata(v):
         ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
         i = j + 1
     return ranks
+
+
+def loop_krcc(x, y):
+    """The O(n^2) tau-b that the merge count replaced: the sum of sign
+    products one row at a time, and its integer numerator."""
+    score = sum(
+        int(np.sign(x[i + 1 :] - x[i]) @ np.sign(y[i + 1 :] - y[i]))
+        for i in range(x.size - 1)
+    )
+    denom = krcc_denominator(x, y)
+    if denom == 0.0:
+        raise ValueError("correlation undefined for a constant vector")
+    return score, score / denom
+
+
+def krcc_denominator(x, y):
+    n0 = x.size * (x.size - 1) // 2
+    ties_x, ties_y = (
+        sum(c * (c - 1) // 2 for c in np.unique(v, return_counts=True)[1].tolist())
+        for v in (x, y)
+    )
+    return math.sqrt((n0 - ties_x) * (n0 - ties_y))
 
 
 def matrix_krcc(x, y):
@@ -356,6 +379,43 @@ def test_group_kernels_match_loop_oracles(sample):
     cands = threshold_candidates(list(x))
     accs = [np.mean((x >= c) == (labels == 1)) for c in cands]
     assert t == cands[accs.index(max(accs))]
+
+
+@st.composite
+def paired_scores(draw):
+    """n = 3-400 pairs, untied or drawn from a few values (ties), or with
+    one side constant."""
+    n = draw(st.integers(3, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = draw(st.sampled_from([None, 0, 1, 3, 20]))  # None: continuous, no ties
+    if top is None:
+        return rng.random(n), rng.random(n)
+    return (rng.integers(0, top + 1, n).astype(np.float64),
+            rng.integers(0, draw(st.sampled_from([top, 5])) + 1, n).astype(np.float64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(paired_scores())
+def test_krcc_is_the_sign_sum(pair):
+    x, y = pair
+    # The merge count gives the discordant pairs: brute-force inversions of
+    # y once the pairs are sorted by (x, y).
+    ranks = np.unique(y, return_inverse=True)[1][np.lexsort((y, x))]
+    above = ranks[:, None] > ranks[None, :]
+    assert _inversions(ranks) == int(above[np.triu_indices(ranks.size, 1)].sum())
+    if np.ptp(x) == 0 or np.ptp(y) == 0:
+        with pytest.raises(ValueError):
+            krcc(x, y)
+        return
+    score, tau = loop_krcc(x, y)
+    assert krcc(x, y).hex() == tau.hex()
+    # The numerator, recovered from tau-b: the same integer sign sum.
+    assert round(krcc(x, y) * krcc_denominator(x, y)) == score
+
+
+def test_krcc_on_the_bench_subsets():
+    for x, y in rated_subsets(2000):
+        assert krcc(x, y).hex() == loop_krcc(x, y)[1].hex()
 
 
 def test_krcc_memory_linear_in_n():

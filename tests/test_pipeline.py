@@ -12,7 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bandgauge.classifier import _BLOCK_PIXELS, forward_batch, init_params, save_params
+from bandgauge.classifier import (
+    _BLOCK_PIXELS,
+    TrainConfig,
+    forward_batch,
+    init_params,
+    save_params,
+    train,
+)
 from bandgauge.cli import main
 from bandgauge.datagen import SynthSpec, gen_base, make_dataset, quantize_bitdepth
 from bandgauge.freq import pws_lfm
@@ -229,6 +236,18 @@ def test_score_image_memory_on_a_1080p_rgb_frame(content):
     res, peak = traced_peak(lambda: score_image(img, RunConfig()))
     assert res.banded_patch_count == (0 if content == "noise" else res.bmap.total_patches)
     assert peak < {"noise": 12 << 20, "banded": 25 << 20}[content]
+
+
+def test_train_memory_on_the_bench_study():
+    # The bench study's training call (seed 7): 48 tiles of 64 x 64 in
+    # batches of 32 and 16, 16 validation tiles, 4 epochs.  Its workspace is
+    # sized by the first batch and lent to the short batch and the
+    # validation pass as views; buffers keyed by batch shape read 32.6 MiB.
+    ds = make_dataset(20, 1045936606, (0.6, 0.2, 0.2), 64, 128)
+    cfg = TrainConfig(epochs=4, seed=7, patch_size=64)
+    (params, history), peak = traced_peak(lambda: train(ds.train, cfg, val_samples=ds.val))
+    assert (len(ds.train), len(ds.val), len(history)) == (48, 16, 4)
+    assert peak < 28 << 20
 
 
 def test_kept_tiles_do_not_hold_their_runs():

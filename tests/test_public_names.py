@@ -19,6 +19,7 @@ ALLOWED = {
     "edge_set": "A5 dense-solve input",
     "ftest_significance": "paper's significance test, ROADMAP item 7",
     "read_manifest": "write_manifest's inverse; load_dataset reads numbered rows",
+    "remove_outliers": "the one-set screening surface; its tests pin the removal order",
 }
 
 

@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bandgauge.subjective import (
     OutlierConfig,
     RatingSet,
     grubbs_threshold,
-    mos,
     mos_pipeline,
     read_ratings_csv,
     remove_outliers,
@@ -25,6 +26,48 @@ def reference_threshold(n, alpha=0.05):
     """Same formula, t-quantile from quadrature instead of incomplete beta."""
     t = t_upper_quantile_by_integration(alpha / (2.0 * n), n - 2)
     return (n - 1) / math.sqrt(n) * math.sqrt(t * t / (n - 2 + t * t))
+
+
+def loop_remove_outliers(ratings, cfg=OutlierConfig()):
+    """The one-set screening loop that the grouped arrays replaced: the
+    oracle for their bits and their removal order."""
+    kept = list(ratings.scores)
+    removed = []
+    max_removals = cfg.max_removals if cfg.max_removals is not None else len(kept)
+    while len(kept) > 3 and len(removed) < max_removals:
+        arr = np.asarray(kept, dtype=np.float64)
+        mean = float(arr.mean())
+        sd = float(arr.std(ddof=1))
+        if sd == 0.0:
+            break
+        deviations = [abs(s - mean) for s in kept]
+        worst = max(range(len(kept)), key=lambda i: (deviations[i], -i))
+        g = deviations[worst] / sd
+        if g <= grubbs_threshold(len(kept), cfg.sig_alpha):
+            break
+        if cfg.sd_multiplier and deviations[worst] <= cfg.sd_multiplier * sd:
+            break
+        removed.append(kept.pop(worst))
+    return tuple(kept), tuple(removed)
+
+
+def loop_mos(scores):
+    if len(scores) == 0:
+        raise ValueError("cannot average an empty score set")
+    return float(np.mean(np.asarray(scores, dtype=np.float64)))
+
+
+def loop_mos_rows(ratings, cfg):
+    """(id, MOS as float hex, kept, removed) per set, by the loop oracle."""
+    rows = []
+    for rs in ratings:
+        kept, removed = loop_remove_outliers(rs, cfg)
+        rows.append((rs.image_id, loop_mos(kept).hex(), len(kept), len(removed)))
+    return rows
+
+
+def hex_rows(rows):
+    return [(i, v.hex(), k, r) for i, v, k, r in rows]
 
 
 def test_statistic_degenerate():
@@ -109,7 +152,7 @@ def test_extreme_point_removed_without_sd_gate():
     kept, removed = remove_outliers(rs, OutlierConfig(sd_multiplier=None))
     assert removed == (100.0,)
     assert kept == (1.0, 1.0, 1.0, 1.0)
-    assert mos(kept) == 1.0
+    assert mos_pipeline([rs], OutlierConfig(sd_multiplier=None))[0][1] == 1.0
 
 
 def test_large_sample_conjunctive_removal():
@@ -168,10 +211,10 @@ def test_scale_validation():
 
 
 def test_mos_values():
-    assert mos((50.0, 60.0, 70.0)) == 60.0
-    assert mos((42.5,)) == 42.5
-    with pytest.raises(ValueError):
-        mos(())
+    rows = mos_pipeline([RatingSet("a", (50.0, 60.0, 70.0)), RatingSet("b", (42.5,))])
+    assert rows == [("a", 60.0, 3, 0), ("b", 42.5, 1, 0)]
+    with pytest.raises(ValueError, match="empty"):
+        mos_pipeline([RatingSet("a", (50.0,)), RatingSet("c", ())])
 
 
 def test_full_pipeline_with_disabled_gate():
@@ -201,3 +244,73 @@ def test_csv_roundtrip(tmp_path):
     bad.write_text("image_id,rater_id,score\na,r1,notanumber\n")
     with pytest.raises(ValueError, match=":2:"):
         read_ratings_csv(bad)
+
+
+# --- grouped screening against the one-set loop ------------------------------------
+
+
+@st.composite
+def rating_sets(draw):
+    """1-60 sets of 0-40 scores: clustered with wide outliers, constant,
+    or drawn from a few values (ties); sizes repeat, so groups form."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.lists(st.integers(0, 40), min_size=1, max_size=6))
+    kinds = st.sampled_from(["spread", "constant", "ties"])
+    sets = []
+    for i, kind in enumerate(draw(st.lists(kinds, min_size=1, max_size=60))):
+        n = sizes[i % len(sizes)]
+        if kind == "constant":
+            scores = np.full(n, rng.uniform(0.0, 100.0))
+        elif kind == "ties":
+            scores = rng.choice([0.0, 50.0, 50.5, 100.0], n)
+        else:
+            scores = np.clip(rng.normal(rng.uniform(5.0, 95.0), 4.0, n), 0.0, 100.0)
+            wide = rng.random(n) < 0.15
+            scores[wide] = rng.uniform(0.0, 100.0, int(wide.sum()))
+        sets.append(RatingSet(f"s{i}", tuple(scores)))
+    cfg = OutlierConfig(
+        sig_alpha=draw(st.sampled_from([0.01, 0.05, 0.3])),
+        sd_multiplier=draw(st.sampled_from([None, 0, 2.5])),
+        max_removals=draw(st.sampled_from([None, 0, 1, 3])),
+    )
+    return sets, cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(rating_sets())
+@example(([RatingSet("a", (1.0,) * 4 + (100.0,)), RatingSet("b", (1.0, 2.0, 100.0))],
+          OutlierConfig(sd_multiplier=None)))
+def test_grouped_screening_is_the_one_set_loop(case):
+    sets, cfg = case
+    for rs in sets:
+        assert remove_outliers(rs, cfg) == loop_remove_outliers(rs, cfg)
+    if any(not rs.scores for rs in sets):
+        with pytest.raises(ValueError, match="empty"):
+            mos_pipeline(sets, cfg)
+    else:
+        assert hex_rows(mos_pipeline(sets, cfg)) == loop_mos_rows(sets, cfg)
+
+
+def bench_rated_sets(seed=2000, images=2000, schemes=15):
+    """The bench's rated set: ~22 ratings per image round a logistic
+    function of the objective score, 3% of them uniform outliers."""
+    rng = np.random.default_rng(seed)
+    scheme = np.arange(images) % schemes
+    severity = rng.uniform(0.0, 0.4, images) * rng.uniform(0.6, 1.0, schemes)[scheme]
+    quality = 95.0 - 90.0 / (1.0 + np.exp(-(severity - 0.18) / 0.05))
+    counts = rng.integers(20, 25, images)
+    scores = np.repeat(quality, counts) + rng.normal(0.0, 8.0, counts.sum())
+    outliers = rng.random(scores.size) < 0.03
+    scores[outliers] = rng.uniform(0.0, 100.0, int(outliers.sum()))
+    scores = np.clip(scores, 0.0, 100.0)
+    bounds = np.concatenate([[0], np.cumsum(counts)])
+    return [
+        RatingSet(f"img{i:04d}", tuple(scores[bounds[i] : bounds[i + 1]])) for i in range(images)
+    ]
+
+
+def test_bench_rated_set_matches_the_loop():
+    sets = bench_rated_sets()
+    rows = hex_rows(mos_pipeline(sets))
+    assert rows == loop_mos_rows(sets, OutlierConfig())
+    assert sum(r[3] for r in rows) == 707
