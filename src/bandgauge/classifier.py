@@ -26,7 +26,6 @@ import numpy as np
 
 from .checks import check
 from .csvfile import write_rows
-from .freq import LowFreqMap
 from .imgcore import Label
 
 
@@ -125,19 +124,20 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class PatchSample:
-    """One training tile: its (N, N) Sobel map as a read-only float64 array,
-    its low-frequency map and its label."""
+    """One training tile: its (N, N) Sobel and low-frequency maps, each a
+    read-only float64 view of the array given, and its label."""
 
     hfm: np.ndarray
-    lfm: LowFreqMap
+    lfm: np.ndarray
     label: Label
 
     def __post_init__(self):
-        hfm = np.asarray(self.hfm, dtype=np.float64).view()
-        if hfm.shape != self.lfm.values.shape:
+        hfm, lfm = (np.asarray(m, dtype=np.float64).view() for m in (self.hfm, self.lfm))
+        if hfm.ndim != 2 or hfm.shape != lfm.shape:
             raise ValueError("frequency maps must share one shape")
-        hfm.flags.writeable = False
+        hfm.flags.writeable = lfm.flags.writeable = False
         object.__setattr__(self, "hfm", hfm)
+        object.__setattr__(self, "lfm", lfm)
 
 
 @dataclass(frozen=True)
@@ -401,7 +401,7 @@ def _stack_maps(maps, params: DualNetParams):
     n = params.patch_size
     out = np.empty((len(maps), n, n), dtype=params.head_w1.dtype)
     for i, m in enumerate(maps):
-        v = m.values if isinstance(m, LowFreqMap) else np.asarray(m)
+        v = np.asarray(m)
         if v.shape != (n, n):
             raise ValueError(f"map shape {v.shape} does not match patch size {n}")
         out[i] = v

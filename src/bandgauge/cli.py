@@ -12,7 +12,6 @@ import argparse
 import concurrent.futures
 import dataclasses
 import json
-import os
 import sys
 
 import numpy as np
@@ -168,12 +167,6 @@ def _settings(args, filecfg) -> dict:
 def _config_and_model(args, filecfg):
     """RunConfig and model of score/detect; an unset patch size follows the model."""
     settings = _settings(args, filecfg)
-    threads = os.environ.get("BANDGAUGE_THREADS")
-    if threads is not None and "threads" not in settings:
-        try:
-            settings["threads"] = int(threads)
-        except ValueError:
-            raise ValueError(f"BANDGAUGE_THREADS={threads!r} is not an integer") from None
     config = RunConfig(**settings)
     model = classifier.load_params(args.model) if args.model else None
     if model is not None and "patch_size" not in settings:

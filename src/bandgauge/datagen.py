@@ -280,10 +280,10 @@ def make_dataset(
         labels = label_patches(sample, grid)
         luma = to_luma(sample.image).planes[0]
         for start, block in grid.blocks(luma, max(1, BLOCK_PIXELS // patch_size**2)):
-            hv, lfms = tile_maps(block, pws_cfg)
-            for k, (h, lfm) in enumerate(zip(hv, lfms), start):
+            hv, lvs = tile_maps(block, pws_cfg)
+            for k, (h, lv) in enumerate(zip(hv, lvs), start):
                 x, y = grid.patches[k]
-                buckets[assigned[i]].append(PatchSample(h, lfm, labels[k]))
+                buckets[assigned[i]].append(PatchSample(h, lv, labels[k]))
                 manifest.append(
                     ManifestRow(name, x, y, patch_size, labels[k], assigned[i])
                 )
@@ -374,8 +374,8 @@ def load_dataset(manifest_path, pws_cfg: PwsConfig | None = None):
                 f"{manifest_path}:{line_no}: patch at ({r.patch_x}, {r.patch_y})"
                 f" leaves {r.image_path}"
             )
-        hv, lfms = tile_maps(patch[None].astype(np.float64), pws_cfg)
-        buckets[r.split].append(PatchSample(hv[0], lfms[0], r.label))
+        hv, lvs = tile_maps(patch[None].astype(np.float64), pws_cfg)
+        buckets[r.split].append(PatchSample(hv[0], lvs[0], r.label))
     return DatasetBundle(
         tuple(buckets["train"]),
         tuple(buckets["val"]),

@@ -139,9 +139,12 @@ class Logistic5Params:
         return np.array([self.b1, self.b2, self.b3, self.b4, self.b5])
 
 
-def _sigmoid(slope, centre, z):
-    """The curve's sigmoid term, 1/2 - 1/(1 + exp(slope * (z - centre)))."""
-    return 0.5 - 1.0 / (1.0 + np.exp(np.clip(slope * (z - centre), -500.0, 500.0)))
+def _sigmoid(slope, centre, z, out=None):
+    """The curve's sigmoid term, 1/2 - 1/(1 + exp(slope * (z - centre))),
+    each step written into out when it is given."""
+    s = np.multiply(slope, np.subtract(z, centre, out=out), out=out)
+    s = np.exp(np.clip(s, -500.0, 500.0, out=out), out=out)
+    return np.subtract(0.5, np.divide(1.0, np.add(1.0, s, out=out), out=out), out=out)
 
 
 def logistic5(beta, x):
@@ -151,45 +154,44 @@ def logistic5(beta, x):
 
 
 def _nelder_mead(fn, x0, max_iters=4000, ftol=1e-13):
-    """Plain simplex descent; returns (x_best, f_best)."""
-    n = len(x0)
-    scale = np.where(np.abs(x0) > 1e-8, 0.1 * np.abs(x0), 0.1)
-    simplex = [np.asarray(x0, dtype=np.float64)]
-    for i in range(n):
-        v = simplex[0].copy()
-        v[i] += scale[i]
-        simplex.append(v)
+    """Plain simplex descent over two parameters; returns (x_best, f_best).
+
+    The three vertices are pairs of Python floats, on which each step costs
+    less than on two-element arrays and rounds the same.
+    """
+    a, b = float(x0[0]), float(x0[1])
+    da, db = (0.1 * abs(v) if abs(v) > 1e-8 else 0.1 for v in (a, b))
+    simplex = [(a, b), (a + da, b), (a, b + db)]
     fvals = [fn(v) for v in simplex]
     for _ in range(max_iters):
-        idx = np.argsort(fvals)
-        simplex = [simplex[i] for i in idx]
-        fvals = [fvals[i] for i in idx]
-        if abs(fvals[-1] - fvals[0]) <= ftol * (abs(fvals[0]) + ftol):
+        order = sorted(range(3), key=fvals.__getitem__)
+        simplex = [simplex[i] for i in order]
+        fvals = [fvals[i] for i in order]
+        if abs(fvals[2] - fvals[0]) <= ftol * (abs(fvals[0]) + ftol):
             break
+        (a0, b0), (a1, b1), (aw, bw) = simplex
         # The vertices summed in order, then divided: the bits of np.mean.
-        centroid = sum(simplex[1:-1], simplex[0]) / n
-        worst = simplex[-1]
-        refl = centroid + (centroid - worst)
+        ca, cb = (a0 + a1) / 2, (b0 + b1) / 2
+        refl = (ca + (ca - aw), cb + (cb - bw))
         f_refl = fn(refl)
         if f_refl < fvals[0]:
-            expand = centroid + 2.0 * (centroid - worst)
+            expand = (ca + 2.0 * (ca - aw), cb + 2.0 * (cb - bw))
             f_exp = fn(expand)
             if f_exp < f_refl:
-                simplex[-1], fvals[-1] = expand, f_exp
+                simplex[2], fvals[2] = expand, f_exp
             else:
-                simplex[-1], fvals[-1] = refl, f_refl
-        elif f_refl < fvals[-2]:
-            simplex[-1], fvals[-1] = refl, f_refl
+                simplex[2], fvals[2] = refl, f_refl
+        elif f_refl < fvals[1]:
+            simplex[2], fvals[2] = refl, f_refl
         else:
-            contract = centroid + 0.5 * (worst - centroid)
+            contract = (ca + 0.5 * (aw - ca), cb + 0.5 * (bw - cb))
             f_con = fn(contract)
-            if f_con < fvals[-1]:
-                simplex[-1], fvals[-1] = contract, f_con
+            if f_con < fvals[2]:
+                simplex[2], fvals[2] = contract, f_con
             else:
-                best = simplex[0]
-                simplex = [best] + [best + 0.5 * (v - best) for v in simplex[1:]]
-                fvals = [fvals[0]] + [fn(v) for v in simplex[1:]]
-    i_best = int(np.argmin(fvals))
+                simplex[1:] = [(a0 + 0.5 * (u - a0), b0 + 0.5 * (v - b0)) for u, v in simplex[1:]]
+                fvals[1:] = [fn(v) for v in simplex[1:]]
+    i_best = min(range(3), key=fvals.__getitem__)
     return simplex[i_best], fvals[i_best]
 
 
@@ -215,18 +217,19 @@ def _projected_sse(z, w):
     w_sse = float(w_perp @ w_perp)
     rank_tol = np.finfo(np.float64).eps * max(n, 3)
     root_n = math.sqrt(n)
+    s, r = np.empty(n), np.empty(n)  # sse's scratch, owned by this one fit
 
     def sse(p):
-        s = _sigmoid(p[0], p[1], z)
+        _sigmoid(p[0], p[1], z, out=s)
         s_norm = math.sqrt(s @ s)
-        s -= s.sum() / n
-        s -= (s @ q) * q
+        np.subtract(s, s.sum() / n, out=s)
+        np.subtract(s, np.multiply(s @ q, q, out=r), out=s)
         ss = float(s @ s)
         if math.isnan(ss):
             return math.inf
         if math.sqrt(ss) <= rank_tol * max(s_norm, root_n):
             return w_sse
-        r = w_perp - (s @ w_perp / ss) * s
+        np.subtract(w_perp, np.multiply(s @ w_perp / ss, s, out=r), out=r)
         return float(r @ r)
 
     def sse_rows(points):

@@ -36,7 +36,7 @@ import numpy as np
 
 from .checks import check
 from .classifier import _BLOCK_PIXELS, BaselineConfig, DualNetParams, forward_batch
-from .freq import LowFreqMap, PwsConfig, pws_lfm, sobel_hfm
+from .freq import PwsConfig, pws_lfm, sobel_hfm
 from .imgcore import BLOCK_PIXELS, PlanarImage, tile, to_luma
 from .scoring import BandingMap, QualityScore, banding_map, pool_score
 from .sfmask import grid_stats, mask_weights
@@ -108,10 +108,11 @@ def score_image(
     return ImageResult(qs, bm)
 
 
-def tile_maps(block, pws: PwsConfig) -> tuple[np.ndarray, list[LowFreqMap]]:
+def tile_maps(block, pws: PwsConfig) -> tuple[np.ndarray, list[np.ndarray]]:
     """The model's inputs for a (B, n, n) run of tiles, in training and in
-    scoring: their (B, n, n) Sobel array and one low-frequency map per tile."""
-    return sobel_hfm(block), [pws_lfm(t, pws) for t in block]
+    scoring: their (B, n, n) Sobel array and each tile's low-frequency map,
+    the solver's read-only float64 (n, n) array."""
+    return sobel_hfm(block), [pws_lfm(t, pws).values for t in block]
 
 
 def _classify(luma, grid, stats, config: RunConfig, model):
@@ -126,8 +127,8 @@ def _classify(luma, grid, stats, config: RunConfig, model):
             hv = sobel_hfm(block)
             sf = stats.sf[start : start + len(block)]
             return start, hv, config.baseline.banded(hv.mean(axis=(-2, -1)), sf).astype(float)
-        hv, lfms = tile_maps(block, config.pws)
-        return start, hv, forward_batch(model, hv, lfms)
+        hv, lvs = tile_maps(block, config.pws)
+        return start, hv, forward_batch(model, hv, lvs)
 
     pixels = BLOCK_PIXELS if model is None else _BLOCK_PIXELS
     blocks = grid.blocks(luma, max(1, pixels // grid.patch_size**2))

@@ -72,7 +72,7 @@ def test_a1_classifier_on_synthetic(trained):
     n_total = len(bundle.train) + len(bundle.val) + len(bundle.test)
     assert n_total >= 2000
     h = np.stack([s.hfm for s in bundle.test])
-    l = np.stack([s.lfm.values for s in bundle.test])
+    l = np.stack([s.lfm for s in bundle.test])
     y = np.array([1 if s.label.is_banded else 0 for s in bundle.test])
     p = forward_batch(params, h, l)
     res = roc_pr(p, y)
@@ -339,7 +339,7 @@ def test_a7_band2k_if_available(tmp_path):
     cfg = TrainConfig(patch_size=235)
     params, _ = train(bundle.train, cfg, val_samples=bundle.val)
     h = np.stack([s.hfm for s in bundle.test])
-    l = np.stack([s.lfm.values for s in bundle.test])
+    l = np.stack([s.lfm for s in bundle.test])
     y = np.array([1 if s.label.is_banded else 0 for s in bundle.test])
     p = forward_batch(params, h, l)
     acc = float(((p > 0.5) == (y == 1)).mean())

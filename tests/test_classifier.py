@@ -34,7 +34,7 @@ from bandgauge.classifier import (
     save_params,
     train,
 )
-from bandgauge.freq import LowFreqMap, PwsConfig, sobel_hfm
+from bandgauge.freq import PwsConfig, sobel_hfm
 from bandgauge.cli import main
 from bandgauge.imgcore import Label, PlanarImage, save_image
 from bandgauge.pipeline import RunConfig, score_image
@@ -58,7 +58,7 @@ def forward(params, hfm, lfm):
 def make_sample(hfm_arr, lfm_arr, banded):
     return PatchSample(
         np.abs(hfm_arr),
-        LowFreqMap(lfm_arr),
+        lfm_arr,
         Label.BANDED if banded else Label.NON_BANDED,
     )
 
@@ -134,6 +134,9 @@ def test_input_shape_validated():
     params = tiny_params()
     with pytest.raises(ValueError):
         forward(params, np.zeros((9, 9)), np.zeros((9, 9)))
+    for hfm, lfm in [((8, 8), (8, 9)), ((8,), (8,)), ((2, 8, 8), (2, 8, 8))]:
+        with pytest.raises(ValueError, match="frequency maps must share one shape"):
+            PatchSample(np.zeros(hfm), np.zeros(lfm), Label.BANDED)
 
 
 def test_nonfinite_input_rejected():
@@ -337,7 +340,7 @@ def test_toy_set_reaches_full_train_accuracy():
     tr, va = train_val(samples, cfg.seed)
     params, history = train(tr, cfg, val_samples=va)
     h = np.stack([s.hfm for s in samples])
-    l = np.stack([s.lfm.values for s in samples])
+    l = np.stack([s.lfm for s in samples])
     y = np.array([s.label.is_banded for s in samples])
     p = forward_batch(params, h, l)
     assert ((p > 0.5) == y).mean() == 1.0
@@ -528,7 +531,7 @@ def test_trained_model_separates_ramp_from_noise():
             patch = r.random((16, 16))
             banded = False
         hfm = sobel_hfm(patch)
-        lfm = LowFreqMap(patch)  # identity stand-in keeps this test fast
+        lfm = patch  # identity stand-in keeps this test fast
         samples.append(PatchSample(hfm, lfm, Label.BANDED if banded else Label.NON_BANDED))
     cfg = TrainConfig(
         learning_rate=3e-3, batch_size=16, epochs=6, seed=3,

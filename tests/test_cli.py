@@ -323,15 +323,6 @@ def test_score_missing_file_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_score_threads_env(tmp_path, monkeypatch):
-    p = write_ramp(tmp_path, 4)
-    out = tmp_path / "s.csv"
-    monkeypatch.setenv("BANDGAUGE_THREADS", "2")
-    assert main(["score", str(p), "--patch-size", "64", "--out", str(out)]) == 0
-    monkeypatch.setenv("BANDGAUGE_THREADS", "zebra")
-    assert main(["score", str(p), "--patch-size", "64", "--out", str(out)]) == 1
-
-
 def test_config_file_precedence(tmp_path, capsys):
     p = write_ramp(tmp_path, 4)
     cfg = tmp_path / "cfg.json"
@@ -365,6 +356,7 @@ BAD_CONFIGS = (
         ("score", {"pws": {"max_iters": 2.5}}, "max_iters", "pws2"),
         ("score", {"gamma": -1}, "gamma", "score-gamma"),
         ("score", {"p_percent": 150}, "p_percent", "score-p_percent"),
+        ("score", {"threads": "2"}, "threads", "score-threads"),
         ("detect", {"patch_size": 7}, "patch_size", "detect-patch_size"),
         ("detect", {"pws": 3}, "pws", "detect-pws-not-object"),
         ("gen", {"image_size": "64"}, "image_size", "gen-image_size"),

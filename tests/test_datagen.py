@@ -272,7 +272,7 @@ def test_manifest_roundtrip_and_errors(tmp_path):
 
 
 def _sample_key(s):
-    return (s.hfm.tobytes(), s.lfm.values.tobytes(), s.lfm.energy_trace, s.label)
+    return (s.hfm.tobytes(), s.lfm.tobytes(), s.label)
 
 
 def _bad_manifest(tmp_path, row):
@@ -322,7 +322,7 @@ def test_load_dataset_follows_manifest_order(tmp_path):
         luma = to_luma(load_image(tmp_path / p)).planes[0].astype(np.float64)
         patch = luma[y : y + n, x : x + n]
         assert s.hfm.tobytes() == sobel_hfm(patch).tobytes()
-        assert s.lfm.values.tobytes() == pws_lfm(patch).values.tobytes()
+        assert s.lfm.tobytes() == pws_lfm(patch).values.tobytes()
         assert s.label is labels[i % 2]
 
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from bandgauge.classifier import (
     _BLOCK_PIXELS,
+    PatchSample,
     TrainConfig,
     forward_batch,
     init_params,
@@ -22,9 +23,9 @@ from bandgauge.classifier import (
 )
 from bandgauge.cli import main
 from bandgauge.datagen import SynthSpec, gen_base, make_dataset, quantize_bitdepth
-from bandgauge.freq import pws_lfm
-from bandgauge.imgcore import BLOCK_PIXELS, PlanarImage, load_image, save_image, tile
-from bandgauge.pipeline import RunConfig, score_image
+from bandgauge.freq import PwsConfig, pws_lfm
+from bandgauge.imgcore import BLOCK_PIXELS, Label, PlanarImage, load_image, save_image, tile
+from bandgauge.pipeline import RunConfig, score_image, tile_maps
 from bandgauge.scoring import banding_map, pool_score
 from bandgauge.sfmask import SpatialFreqStats, mask_weights, sf_threshold
 from conftest import extract, luma_reference, sf_reference, sobel_reference
@@ -42,7 +43,7 @@ def score_image_per_tile(img, config, model=None):
     stats = SpatialFreqStats(sf, sf_threshold(sf))
     probs = None
     if model is not None:
-        probs = forward_batch(model, hfms, [pws_lfm(t, config.pws) for t in tiles])
+        probs = forward_batch(model, hfms, [pws_lfm(t, config.pws).values for t in tiles])
         prob = probs
     else:
         mean_grad = np.array([h.mean() for h in hfms])
@@ -125,7 +126,7 @@ def test_network_scores_what_it_was_trained_on(tmp_path, monkeypatch):
     calls = {}  # the low-frequency maps of each forward_batch call, by its Sobel maps
 
     def recording(params, h_batch, l_batch):
-        calls[np.asarray(h_batch).tobytes()] = [m.values.tobytes() for m in l_batch]
+        calls[np.asarray(h_batch).tobytes()] = [m.tobytes() for m in l_batch]
         return forward_batch(params, h_batch, l_batch)
 
     monkeypatch.setattr("bandgauge.pipeline.forward_batch", recording)
@@ -137,7 +138,33 @@ def test_network_scores_what_it_was_trained_on(tmp_path, monkeypatch):
     for s in starts:
         run = samples[s : s + step]
         lfms = calls[np.stack([t.hfm for t in run]).tobytes()]
-        assert lfms == [t.lfm.values.tobytes() for t in run]
+        assert lfms == [t.lfm.tobytes() for t in run]
+
+
+def test_tile_maps_hands_on_the_solver_arrays(monkeypatch):
+    # One run at an odd N: a flat tile, which the solver returns without a
+    # sweep, then two on which it iterates.
+    n = 37
+    r = np.random.default_rng(3)
+    ramp = np.linspace(0.0, 1.0, n)[None, :] + 0.01 * r.standard_normal((n, n))
+    block = np.stack([np.full((n, n), 0.25), ramp, r.random((n, n))])
+    made = []  # what each pws_lfm call returned; the tracer wraps it by this name
+
+    def recording(t, cfg):
+        made.append(pws_lfm(t, cfg))
+        return made[-1]
+
+    monkeypatch.setattr("bandgauge.pipeline.pws_lfm", recording)
+    hv, lvs = tile_maps(block, PwsConfig())
+    assert [len(m.energy_trace) > 1 for m in made] == [False, True, True]
+    for h, lv, m, t in zip(hv, lvs, made, block):
+        assert lv is m.values  # taken without a copy
+        assert lv.dtype == np.float64 and lv.shape == (n, n) and not lv.flags.writeable
+        assert lv.tobytes() == pws_lfm(t).values.tobytes()
+        for given in (lv, lv.copy()):  # the solver's read-only array, and a writable one
+            sample = PatchSample(h, given, Label.BANDED)
+            for got, source in ((sample.hfm, h), (sample.lfm, given)):
+                assert not got.flags.writeable and np.shares_memory(got, source)
 
 
 @settings(max_examples=30, deadline=None)
