@@ -49,57 +49,62 @@ class TrainingDivergedError(RuntimeError):
     """Loss became non-finite during training."""
 
 
-@dataclass(frozen=True)
-class BranchParams:
-    """Convolution stack of one branch: 3x3 kernels, stride 2."""
+def _check_architecture(patch_size, widths, fc_width) -> None:
+    """The floors of a network's shape, the same ones a weight file's header
+    must clear: patches of at least 8 pixels, one or more convolution widths
+    and every width and the head's width at least 1."""
+    check("patch_size", patch_size, int, ge=8)
+    if len(widths) < 1:
+        raise ValueError("widths must hold at least one width")
+    for width in widths:
+        check("widths", width, int, ge=1)
+    check("fc_width", fc_width, int, ge=1)
 
-    conv_w: tuple  # each (out_ch, in_ch, 3, 3)
-    conv_b: tuple  # each (out_ch,)
+
+def _tensor_shapes(widths, fc_width) -> list:
+    """The layout of the network's weights: the shape of each tensor, in the
+    canonical order that DualNetParams.tensors, the gradients, Adam and the
+    weight file share.  Per h-branch layer its 3x3 kernel (out_ch, in_ch, 3,
+    3) and bias (out_ch,), the same for the l branch, then the head's w1
+    (features, fc_width), b1 (fc_width,), w2 (fc_width, 1) and b2 (1,)."""
+    shapes = []
+    for _ in range(2):
+        in_ch = 1
+        for out_ch in widths:
+            shapes += [(out_ch, in_ch, 3, 3), (out_ch,)]
+            in_ch = out_ch
+    feat_dim = 2 * (widths[0] + widths[-1])
+    return shapes + [(feat_dim, fc_width), (fc_width,), (fc_width, 1), (1,)]
 
 
 @dataclass(frozen=True)
 class DualNetParams:
-    """Weights and architecture metadata of the dual-branch network."""
+    """Weights and architecture metadata of the dual-branch network.
+
+    tensors is a tuple of every weight array in the order _tensor_shapes
+    states; a list given is kept as a tuple.
+    """
 
     patch_size: int
     widths: tuple
     fc_width: int
-    branch_h: BranchParams
-    branch_l: BranchParams
-    head_w1: np.ndarray
-    head_b1: np.ndarray
-    head_w2: np.ndarray
-    head_b2: np.ndarray
+    tensors: tuple
     seed: int = 0
     epochs_trained: int = 0
 
     def __post_init__(self):
-        shapes_h = [w.shape for w in self.branch_h.conv_w]
-        shapes_l = [w.shape for w in self.branch_l.conv_w]
-        if shapes_h != shapes_l:
-            raise ValueError("branches must share one shape (not values)")
-        if tuple(s[0] for s in shapes_h) != tuple(self.widths):
-            raise ValueError("conv widths disagree with metadata")
-        feat_dim = 2 * (self.widths[0] + self.widths[-1])
-        if self.head_w1.shape != (feat_dim, self.fc_width):
-            raise ValueError(
-                f"head expects {feat_dim}-wide features, got {self.head_w1.shape}"
-            )
-        if self.head_w2.shape != (self.fc_width, 1):
-            raise ValueError("final layer must output a single logit")
+        _check_architecture(self.patch_size, self.widths, self.fc_width)
+        object.__setattr__(self, "tensors", tuple(self.tensors))
+        want = _tensor_shapes(self.widths, self.fc_width)
+        if len(self.tensors) != len(want):
+            raise ValueError(f"{len(want)} tensors expected, got {len(self.tensors)}")
+        for i, (t, shape) in enumerate(zip(self.tensors, want)):
+            if t.shape != shape:
+                raise ValueError(f"tensor {i} has shape {t.shape}, the architecture needs {shape}")
 
     @property
     def feature_dim(self) -> int:
         return 2 * (self.widths[0] + self.widths[-1])
-
-    def tensors(self) -> list:
-        """All weight arrays in canonical (serialization) order."""
-        out = []
-        for br in (self.branch_h, self.branch_l):
-            for w, b in zip(br.conv_w, br.conv_b):
-                out.extend([w, b])
-        out.extend([self.head_w1, self.head_b1, self.head_w2, self.head_b2])
-        return out
 
 
 @dataclass(frozen=True)
@@ -114,12 +119,10 @@ class TrainConfig:
 
     def __post_init__(self):
         check("learning_rate", self.learning_rate, gt=0)
-        for name in ("batch_size", "epochs", "fc_width"):
+        for name in ("batch_size", "epochs"):
             check(name, getattr(self, name), int, ge=1)
         check("seed", self.seed, int, ge=0)
-        check("patch_size", self.patch_size, int, ge=8)
-        for width in self.widths:
-            check("widths", width, int, ge=1)
+        _check_architecture(self.patch_size, self.widths, self.fc_width)
 
 
 @dataclass(frozen=True)
@@ -180,35 +183,21 @@ def init_params(
     seed: int = 0,
     dtype=np.float32,
 ) -> DualNetParams:
-    """Glorot-uniform initialization; the two branches draw independently."""
+    """Glorot-uniform weights and zero biases, drawn tensor by tensor in
+    canonical order; the two branches draw independently."""
+    _check_architecture(patch_size, widths, fc_width)
     rng = np.random.default_rng(seed)
-
-    def glorot(shape, fan_in, fan_out):
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-limit, limit, size=shape).astype(dtype)
-
-    def branch():
-        ws, bs = [], []
-        in_ch = 1
-        for out_ch in widths:
-            ws.append(glorot((out_ch, in_ch, 3, 3), in_ch * 9, out_ch * 9))
-            bs.append(np.zeros(out_ch, dtype=dtype))
-            in_ch = out_ch
-        return BranchParams(tuple(ws), tuple(bs))
-
-    feat_dim = 2 * (widths[0] + widths[-1])
-    return DualNetParams(
-        patch_size=patch_size,
-        widths=tuple(widths),
-        fc_width=fc_width,
-        branch_h=branch(),
-        branch_l=branch(),
-        head_w1=glorot((feat_dim, fc_width), feat_dim, fc_width),
-        head_b1=np.zeros(fc_width, dtype=dtype),
-        head_w2=glorot((fc_width, 1), fc_width, 1),
-        head_b2=np.zeros(1, dtype=dtype),
-        seed=seed,
-    )
+    tensors = []
+    for shape in _tensor_shapes(widths, fc_width):
+        if len(shape) == 1:
+            tensors.append(np.zeros(shape, dtype=dtype))
+            continue
+        # fan_in + fan_out: (out_ch + in_ch) * 9 for a kernel, rows + columns
+        # for a head matrix.
+        fans = (shape[0] + shape[1]) * math.prod(shape[2:])
+        limit = np.sqrt(6.0 / fans)
+        tensors.append(rng.uniform(-limit, limit, size=shape).astype(dtype))
+    return DualNetParams(patch_size, tuple(widths), fc_width, tensors, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -306,15 +295,23 @@ def _conv_input_grad(dout, w, cache, ws=None):
     return dx
 
 
-def _branch_forward(bp: BranchParams, x, keep_caches=True, ws=None):
-    """Features of one branch and, if kept, each layer's (cache, a) for the
-    backward pass; without them and without a workspace, one layer's
-    intermediates live at a time.  The rectifier runs in place: a > 0
-    exactly where its input z > 0, so a alone gives backward its mask."""
+def _parts(tensors, n_conv):
+    """Canonical-order tensors (weights or their gradients) as the h branch's
+    (kernel, bias) pairs, the l branch's pairs and the head's (w1, b1, w2, b2)."""
+    pairs = list(zip(tensors[0::2], tensors[1::2]))
+    return pairs[:n_conv], pairs[n_conv : 2 * n_conv], tensors[-4:]
+
+
+def _branch_forward(layers, x, keep_caches=True, ws=None):
+    """Features of one branch, given its (kernel, bias) pairs, and, if kept,
+    each layer's (cache, a) for the backward pass; without them and without
+    a workspace, one layer's intermediates live at a time.  The rectifier
+    runs in place: a > 0 exactly where its input z > 0, so a alone gives
+    backward its mask."""
     caches = []
     a = x
     early = None
-    for i, (w, b) in enumerate(zip(bp.conv_w, bp.conv_b)):
+    for i, (w, b) in enumerate(layers):
         z, cache = _conv_forward(a, w, b, _part(ws, i))
         a = np.maximum(z, 0.0, out=z)
         if keep_caches:
@@ -325,13 +322,13 @@ def _branch_forward(bp: BranchParams, x, keep_caches=True, ws=None):
     return feat, caches
 
 
-def _branch_backward(bp: BranchParams, caches, dfeat, ws=None):
-    """Gradients of one branch.  Its workspace holds only this call's
-    intermediates, so both branches may share one, one after the other."""
-    f1 = bp.conv_w[0].shape[0]
+def _branch_backward(layers, caches, dfeat, ws=None):
+    """Gradients of one branch, kernel then bias per layer.  Its workspace
+    holds only this call's intermediates, so both branches may share one,
+    one after the other."""
+    f1 = layers[0][0].shape[0]
     d_early, d_late = dfeat[:, :f1], dfeat[:, f1:]
-    grads_w = [None] * len(bp.conv_w)
-    grads_b = [None] * len(bp.conv_w)
+    grads = [None] * (2 * len(layers))
 
     _, a_last = caches[-1]
     area = a_last.shape[2] * a_last.shape[3]
@@ -345,21 +342,22 @@ def _branch_backward(bp: BranchParams, caches, dfeat, ws=None):
             da += (d_early / area0)[:, :, None, None]
         active = np.greater(a, 0, out=_buffer(layer, "active", a.shape, bool))
         dz = np.multiply(da, active, out=da)
-        grads_w[i], grads_b[i] = _conv_param_grads(dz, cache, layer)
+        grads[2 * i], grads[2 * i + 1] = _conv_param_grads(dz, cache, layer)
         if i > 0:  # the network input needs no gradient
-            da = _conv_input_grad(dz, bp.conv_w[i], cache, layer)
-    return grads_w, grads_b
+            da = _conv_input_grad(dz, layers[i][0], cache, layer)
+    return grads
 
 
 def _net_forward(params: DualNetParams, h_batch, l_batch, keep_caches=True, ws=None):
+    layers_h, layers_l, (w1, b1, w2, b2) = _parts(params.tensors, len(params.widths))
     xh = h_batch[:, None, :, :]
     xl = l_batch[:, None, :, :]
-    fh, cache_h = _branch_forward(params.branch_h, xh, keep_caches, _part(ws, "h"))
-    fl, cache_l = _branch_forward(params.branch_l, xl, keep_caches, _part(ws, "l"))
+    fh, cache_h = _branch_forward(layers_h, xh, keep_caches, _part(ws, "h"))
+    fl, cache_l = _branch_forward(layers_l, xl, keep_caches, _part(ws, "l"))
     feat = np.concatenate([fh, fl], axis=1)
-    h1 = feat @ params.head_w1 + params.head_b1
+    h1 = feat @ w1 + b1
     r = np.maximum(h1, 0.0)
-    logit = (r @ params.head_w2 + params.head_b2).ravel()
+    logit = (r @ w2 + b2).ravel()
     return logit, (feat, h1, r, cache_h, cache_l)
 
 
@@ -399,7 +397,7 @@ def forward_batch(params: DualNetParams, h_batch, l_batch) -> np.ndarray:
 
 def _stack_maps(maps, params: DualNetParams):
     n = params.patch_size
-    out = np.empty((len(maps), n, n), dtype=params.head_w1.dtype)
+    out = np.empty((len(maps), n, n), dtype=params.tensors[-4].dtype)  # the head's w1
     for i, m in enumerate(maps):
         v = np.asarray(m)
         if v.shape != (n, n):
@@ -421,28 +419,22 @@ def loss_and_grads(params: DualNetParams, h_batch, l_batch, y, ws=None):
     zl = logit.astype(np.float64)
     loss = _bce(zl, y)
     bsz = len(y)
-    dtype = params.head_w1.dtype
+    layers_h, layers_l, (w1, _, w2, _) = _parts(params.tensors, len(params.widths))
 
-    dlogit = ((_sigmoid(zl) - y) / bsz).astype(dtype)[:, None]
+    dlogit = ((_sigmoid(zl) - y) / bsz).astype(w1.dtype)[:, None]
     dw2 = r.T @ dlogit
     db2 = dlogit.sum(axis=0)
-    dr = dlogit @ params.head_w2.T
+    dr = dlogit @ w2.T
     dh1 = dr * (h1 > 0)
     dw1 = feat.T @ dh1
     db1 = dh1.sum(axis=0)
-    dfeat = dh1 @ params.head_w1.T
+    dfeat = dh1 @ w1.T
 
     half = params.feature_dim // 2
     back = _part(ws, "back")
-    gw_h, gb_h = _branch_backward(params.branch_h, cache_h, dfeat[:, :half], back)
-    gw_l, gb_l = _branch_backward(params.branch_l, cache_l, dfeat[:, half:], back)
-
-    grads = []
-    for gw, gb in ((gw_h, gb_h), (gw_l, gb_l)):
-        for w, b in zip(gw, gb):
-            grads.extend([w, b])
-    grads.extend([dw1, db1, dw2, db2])
-    return loss, grads
+    grads = _branch_backward(layers_h, cache_h, dfeat[:, :half], back)
+    grads += _branch_backward(layers_l, cache_l, dfeat[:, half:], back)
+    return loss, grads + [dw1, db1, dw2, db2]
 
 
 def bce_loss(params: DualNetParams, h_batch, l_batch, y) -> float:
@@ -462,30 +454,6 @@ def _bce(logit, y) -> float:
 # Training
 
 
-def _rebuild(params: DualNetParams, tensors: list) -> DualNetParams:
-    n_conv = len(params.widths)
-    it = iter(tensors)
-
-    def branch():
-        ws, bs = [], []
-        for _ in range(n_conv):
-            ws.append(next(it))
-            bs.append(next(it))
-        return BranchParams(tuple(ws), tuple(bs))
-
-    bh = branch()
-    bl = branch()
-    return replace(
-        params,
-        branch_h=bh,
-        branch_l=bl,
-        head_w1=next(it),
-        head_b1=next(it),
-        head_w2=next(it),
-        head_b2=next(it),
-    )
-
-
 def train(samples, cfg: TrainConfig, val_samples, report_path=None):
     """Train the dual-branch network on samples, selecting the epoch by its
     accuracy on val_samples.
@@ -501,10 +469,8 @@ def train(samples, cfg: TrainConfig, val_samples, report_path=None):
     if not train_set or not val_set:
         raise ValueError("empty train or validation set")
 
-    params = init_params(
-        cfg.patch_size, cfg.widths, cfg.fc_width, seed=cfg.seed
-    )
-    tensors = params.tensors()  # params' own arrays: each step updates them in place
+    params = init_params(cfg.patch_size, cfg.widths, cfg.fc_width, seed=cfg.seed)
+    tensors = params.tensors  # params' own arrays: each step updates them in place
     h_tr, l_tr, y_tr = _dataset_arrays(train_set, params)
     h_va, l_va, y_va = _dataset_arrays(val_set, params)
 
@@ -557,9 +523,7 @@ def train(samples, cfg: TrainConfig, val_samples, report_path=None):
     finally:
         ws.clear()
 
-    final = replace(
-        _rebuild(params, best_tensors), seed=cfg.seed, epochs_trained=best_epoch
-    )
+    final = replace(params, tensors=best_tensors, epochs_trained=best_epoch)
     if report_path is not None:
         write_rows(
             report_path,
@@ -586,41 +550,18 @@ _VERSION = 1
 
 def save_params(params: DualNetParams, path) -> None:
     """Write the self-describing binary weight container."""
-    head = bytearray()
-    head += _MAGIC
-    head += struct.pack("<B", _VERSION)
-    head += struct.pack(
-        "<IIB", params.patch_size, params.fc_width, len(params.widths)
-    )
-    for wdt in params.widths:
-        head += struct.pack("<I", wdt)
-    head += struct.pack("<qI", params.seed, params.epochs_trained)
-    tensors = params.tensors()
-    head += struct.pack("<I", len(tensors))
+    tensors = params.tensors
+    head = bytearray(_MAGIC)
+    head += struct.pack("<BIIB", _VERSION, params.patch_size, params.fc_width, len(params.widths))
+    head += struct.pack(f"<{len(params.widths)}I", *params.widths)
+    head += struct.pack("<qII", params.seed, params.epochs_trained, len(tensors))
     for t in tensors:
-        head += struct.pack("<B", t.ndim)
-        for d in t.shape:
-            head += struct.pack("<I", d)
-    payload = b"".join(
-        np.ascontiguousarray(t, dtype="<f4").tobytes() for t in tensors
-    )
+        head += struct.pack(f"<B{t.ndim}I", t.ndim, *t.shape)
+    payload = b"".join(np.ascontiguousarray(t, dtype="<f4").tobytes() for t in tensors)
     body = bytes(head) + payload
     crc = zlib.crc32(body) & 0xFFFFFFFF
     with open(path, "wb") as fh:
         fh.write(body + struct.pack("<I", crc))
-
-
-def _tensor_shapes(widths, fc_width) -> list:
-    """The shapes of init_params' tensors, in canonical order, worked out
-    without allocating them (a weight file's round trip checks the two agree)."""
-    shapes = []
-    for _ in range(2):
-        in_ch = 1
-        for out_ch in widths:
-            shapes += [(out_ch, in_ch, 3, 3), (out_ch,)]
-            in_ch = out_ch
-    feat_dim = 2 * (widths[0] + widths[-1])
-    return shapes + [(feat_dim, fc_width), (fc_width,), (fc_width, 1), (1,)]
 
 
 def load_params(path) -> DualNetParams:
@@ -646,10 +587,8 @@ def load_params(path) -> DualNetParams:
         pos += 9
         widths = struct.unpack_from(f"<{n_conv}I", body, pos)
         pos += 4 * n_conv
-        seed, epochs = struct.unpack_from("<qI", body, pos)
-        pos += 12
-        (n_tensors,) = struct.unpack_from("<I", body, pos)
-        pos += 4
+        seed, epochs, n_tensors = struct.unpack_from("<qII", body, pos)
+        pos += 16
         shapes = []
         for _ in range(n_tensors):
             (ndim,) = struct.unpack_from("<B", body, pos)
@@ -672,5 +611,4 @@ def load_params(path) -> DualNetParams:
         arr = np.frombuffer(body, dtype="<f4", count=count, offset=pos)
         tensors.append(arr.reshape(shape).copy())
         pos += 4 * count
-    out = _rebuild(init_params(patch_size, widths, fc_width, seed=0), tensors)
-    return replace(out, seed=seed, epochs_trained=epochs)
+    return DualNetParams(patch_size, widths, fc_width, tensors, seed=seed, epochs_trained=epochs)

@@ -48,17 +48,15 @@ class RatingSet:
 @dataclass(frozen=True)
 class OutlierConfig:
     """sig_alpha is the Grubbs significance level; sd_multiplier gates the
-    additional deviation test (None or 0 disables that gate); max_removals
-    of None means: remove until the test passes or only 3 scores remain."""
+    additional deviation test (None or 0 disables that gate).  Screening
+    removes scores until the tests pass or only 3 scores remain."""
 
     sig_alpha: float = 0.05
     sd_multiplier: float | None = 2.5
-    max_removals: int | None = None
 
     def __post_init__(self):
         check("sig_alpha", self.sig_alpha, gt=0, lt=1)
         check("sd_multiplier", self.sd_multiplier, optional=True, ge=0)
-        check("max_removals", self.max_removals, int, optional=True, ge=0)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -86,13 +84,12 @@ def _screen(block: np.ndarray, cfg: OutlierConfig):
     m, n = block.shape
     mos = np.empty(m)
     removed_at = np.full((m, n), -1)
-    limit = n if cfg.max_removals is None else cfg.max_removals
     rows = np.arange(m)  # block row of each row still screening
     cols = np.broadcast_to(np.arange(n), (m, n))  # input position of each kept score
     held = block
     for t in range(n):
         mean = held.mean(axis=1)
-        if n - t <= 3 or t >= limit:
+        if n - t <= 3:
             mos[rows] = mean
             break
         sd = held.std(axis=1, ddof=1)

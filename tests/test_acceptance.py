@@ -353,7 +353,7 @@ def test_a8_gradient_check():
             seed=800 + net, patch=8, widths=(2, 3), fc=6, n=4
         )
         _, grads = loss_and_grads(params, h, l, y)
-        tensors = [t.copy() for t in params.tensors()]
+        tensors = [t.copy() for t in params.tensors]
         for i in range(len(tensors)):
             num = clf_helpers.numeric_grad(params, tensors, i, h, l, y, step=1e-4)
             denom = max(np.abs(num).max(), np.abs(grads[i]).max(), 1e-8)

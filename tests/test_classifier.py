@@ -7,6 +7,7 @@ import sys
 import tracemalloc
 import zlib
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from bandgauge.classifier import (
     _BLOCK_PIXELS,
     BaselineConfig,
+    DualNetParams,
     PatchSample,
     TrainConfig,
     TrainingDivergedError,
@@ -25,7 +27,6 @@ from bandgauge.classifier import (
     _conv_forward,
     _conv_input_grad,
     _conv_param_grads,
-    _rebuild,
     bce_loss,
     forward_batch,
     init_params,
@@ -47,7 +48,7 @@ def tiny_params(patch=8, widths=(2, 3, 4), fc=8, seed=0, dtype=np.float64):
 
 
 def zeroed(params):
-    return _rebuild(params, [np.zeros_like(t) for t in params.tensors()])
+    return replace(params, tensors=[np.zeros_like(t) for t in params.tensors])
 
 
 def forward(params, hfm, lfm):
@@ -80,6 +81,74 @@ def toy_separable_set(n, patch=16, seed=0):
     return samples
 
 
+# --- weights and architecture ------------------------------------------------------
+
+
+def nested_glorot_init(patch, widths, fc, seed, dtype):
+    """The draws of the nested initializer that the flat one replaced: h
+    kernels, l kernels, then the head's w1 and w2, each Glorot-uniform with
+    fan_in + fan_out from its layer, and zero biases."""
+    rng = np.random.default_rng(seed)
+
+    def glorot(shape, fan_in, fan_out):
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-limit, limit, size=shape).astype(dtype)
+
+    out = []
+    for _ in range(2):
+        in_ch = 1
+        for out_ch in widths:
+            out += [glorot((out_ch, in_ch, 3, 3), in_ch * 9, out_ch * 9), np.zeros(out_ch, dtype)]
+            in_ch = out_ch
+    feat = 2 * (widths[0] + widths[-1])
+    out += [glorot((feat, fc), feat, fc), np.zeros(fc, dtype)]
+    return out + [glorot((fc, 1), fc, 1), np.zeros(1, dtype)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("patch", [235, 64])
+def test_init_draws_in_the_nested_order(patch, dtype):
+    for seed, widths, fc in [(0, (8, 16, 32), 128), (50, (8, 16, 32), 128), (3, (2, 3, 4), 8)]:
+        params = init_params(patch, widths, fc, seed=seed, dtype=dtype)
+        want = nested_glorot_init(patch, widths, fc, seed, dtype)
+        assert len(params.tensors) == len(want)
+        for got, exp in zip(params.tensors, want):
+            assert got.dtype == exp.dtype and got.shape == exp.shape
+            assert got.tobytes() == exp.tobytes()
+
+
+@pytest.mark.parametrize(
+    "patch, widths, fc, field",
+    [
+        (7, (2, 3), 8, "patch_size"),
+        (8.0, (2, 3), 8, "patch_size"),
+        (16, (), 8, "widths"),
+        (16, (0, 4), 8, "widths"),
+        (16, (2, 2.5), 8, "widths"),
+        (16, (2, 3), 0, "fc_width"),
+    ],
+)
+def test_bad_architecture_fails_at_construction(patch, widths, fc, field):
+    with pytest.raises(ValueError, match=field):
+        init_params(patch, widths, fc)
+    with pytest.raises(ValueError, match=field):
+        DualNetParams(patch, widths, fc, ())
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(patch_size=patch, widths=widths, fc_width=fc)
+
+
+def test_params_reject_a_tensor_tuple_off_the_layout():
+    params = tiny_params()
+    short = params.tensors[:-1]
+    with pytest.raises(ValueError, match=f"{len(short) + 1} tensors expected, got {len(short)}"):
+        replace(params, tensors=short)
+    wrong = list(params.tensors)
+    wrong[3] = np.zeros(wrong[3].size + 1)  # the h branch's second bias
+    with pytest.raises(ValueError, match="tensor 3 has shape"):
+        replace(params, tensors=wrong)
+    assert isinstance(replace(params, tensors=list(params.tensors)).tensors, tuple)
+
+
 # --- forward -------------------------------------------------------------------
 
 
@@ -91,9 +160,9 @@ def test_zero_weights_give_half():
 
 def test_head_bias_dominates():
     params = zeroed(tiny_params())
-    tensors = [np.zeros_like(t) for t in params.tensors()]
+    tensors = [np.zeros_like(t) for t in params.tensors]
     tensors[-1] = np.array([10.0])  # final bias
-    params = _rebuild(params, tensors)
+    params = replace(params, tensors=tensors)
     x = np.zeros((8, 8))
     assert forward(params, x, x) == pytest.approx(1.0 / (1.0 + math.exp(-10.0)), abs=1e-12)
 
@@ -153,16 +222,16 @@ def test_branches_are_independent(rng):
     l = rng.random((8, 8)) * 0.1  # asymmetric inputs
     base = forward(params, h, l)
 
-    # Permute one kernel of branch_h: output must move.
-    tensors = [t.copy() for t in params.tensors()]
+    # Permute the h branch's first kernel: output must move.
+    tensors = [t.copy() for t in params.tensors]
     tensors[0] = tensors[0][::-1].copy()
-    assert forward(_rebuild(params, tensors), h, l) != pytest.approx(base, abs=1e-12)
+    assert forward(replace(params, tensors=tensors), h, l) != pytest.approx(base, abs=1e-12)
 
     # Swap the branches: output must move on asymmetric inputs.
     n = 2 * len(params.widths)
-    swapped = params.tensors()
+    swapped = params.tensors
     swapped = swapped[n : 2 * n] + swapped[:n] + swapped[2 * n :]
-    assert forward(_rebuild(params, swapped), h, l) != pytest.approx(base, abs=1e-12)
+    assert forward(replace(params, tensors=swapped), h, l) != pytest.approx(base, abs=1e-12)
 
 
 # --- convolution kernel ------------------------------------------------------------
@@ -260,9 +329,9 @@ def numeric_grad(params, tensors, i, h, l, y, step=1e-4):
     for j in range(flat.size):
         orig = flat[j]
         flat[j] = orig + step
-        up = bce_loss(_rebuild(params, tensors), h, l, y)
+        up = bce_loss(replace(params, tensors=tensors), h, l, y)
         flat[j] = orig - step
-        down = bce_loss(_rebuild(params, tensors), h, l, y)
+        down = bce_loss(replace(params, tensors=tensors), h, l, y)
         flat[j] = orig
         gflat[j] = (up - down) / (2.0 * step)
     return grad
@@ -275,9 +344,10 @@ def min_preactivation_gap(params, h, l):
 
     _, (feat, h1, r, _, _) = _net_forward(params, h, l)
     gaps = [np.abs(h1).min()]
-    for bp, x in ((params.branch_h, h), (params.branch_l, l)):
+    n = 2 * len(params.widths)
+    for branch, x in ((params.tensors[:n], h), (params.tensors[n : 2 * n], l)):
         a = x[:, None]
-        for w, b in zip(bp.conv_w, bp.conv_b):
+        for w, b in zip(branch[0::2], branch[1::2]):
             z, _ = _conv_forward(a, w, b)
             gaps.append(np.abs(z).min())
             a = np.maximum(z, 0.0)
@@ -300,7 +370,7 @@ def kink_free_case(seed, patch=8, widths=(2, 3), fc=6, n=4):
 def test_gradient_check_small_net():
     params, h, l, y = kink_free_case(seed=11)
     _, grads = loss_and_grads(params, h, l, y)
-    tensors = [t.copy() for t in params.tensors()]
+    tensors = [t.copy() for t in params.tensors]
     for i in range(len(tensors)):
         num = numeric_grad(params, tensors, i, h, l, y)
         denom = max(np.abs(num).max(), np.abs(grads[i]).max(), 1e-8)
@@ -592,7 +662,7 @@ def test_save_load_roundtrip(tmp_path):
     assert back.widths == params.widths
     assert back.fc_width == params.fc_width
     assert back.seed == params.seed
-    for a, b in zip(params.tensors(), back.tensors()):
+    for a, b in zip(params.tensors, back.tensors, strict=True):
         assert a.shape == b.shape
         assert (a == b).all()
 

@@ -33,8 +33,7 @@ def loop_remove_outliers(ratings, cfg=OutlierConfig()):
     oracle for their bits and their removal order."""
     kept = list(ratings.scores)
     removed = []
-    max_removals = cfg.max_removals if cfg.max_removals is not None else len(kept)
-    while len(kept) > 3 and len(removed) < max_removals:
+    while len(kept) > 3:
         arr = np.asarray(kept, dtype=np.float64)
         mean = float(arr.mean())
         sd = float(arr.std(ddof=1))
@@ -163,12 +162,7 @@ def test_large_sample_conjunctive_removal():
     assert len(kept) == 19
 
 
-def test_never_below_three_and_max_removals():
-    scores = (0.0, 0.1, 50.0, 99.9, 100.0)
-    cfg = OutlierConfig(sd_multiplier=None, max_removals=1)
-    kept, removed = remove_outliers(RatingSet("img", scores), cfg)
-    assert len(removed) <= 1
-
+def test_never_below_three():
     tiny = RatingSet("img", (1.0, 2.0, 95.0))
     kept, removed = remove_outliers(tiny, OutlierConfig(sd_multiplier=None))
     assert kept == tiny.scores  # N == 3 is never reduced
@@ -193,11 +187,14 @@ def test_permutation_invariant_multiset(rng):
 
 
 def test_tie_break_lowest_index():
-    scores = (10.0, 90.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 90.0, 10.0)
-    cfg = OutlierConfig(sd_multiplier=None, max_removals=1)
-    kept, removed = remove_outliers(RatingSet("x", scores), cfg)
-    if removed:  # the first extreme (index 1 vs 9 both |dev| equal) goes first
-        assert kept.count(90.0) + kept.count(10.0) == 3
+    # Both extremes sit 40 from the mean of 50; the one at the lower index
+    # goes first, then the other, now the more deviant, follows.
+    for first in (90.0, 10.0):
+        scores = [50.0] * 20
+        scores[1], scores[18] = first, 100.0 - first
+        kept, removed = remove_outliers(RatingSet("x", tuple(scores)))
+        assert removed == (first, 100.0 - first)
+        assert kept == (50.0,) * 18
 
 
 def test_scale_validation():
@@ -271,7 +268,6 @@ def rating_sets(draw):
     cfg = OutlierConfig(
         sig_alpha=draw(st.sampled_from([0.01, 0.05, 0.3])),
         sd_multiplier=draw(st.sampled_from([None, 0, 2.5])),
-        max_removals=draw(st.sampled_from([None, 0, 1, 3])),
     )
     return sets, cfg
 
