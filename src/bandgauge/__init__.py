@@ -23,7 +23,7 @@ from .imgcore import (
 )
 from .pipeline import ImageResult, RunConfig, score_image
 from .scoring import BandingMap, QualityScore, banding_map, map_to_image, pool_score
-from .sfmask import MaskWeights, SpatialFreqStats, mask_weight, sf_threshold, spatial_frequency
+from .sfmask import mask_weight, spatial_frequency
 from .subjective import (
     OutlierConfig,
     RatingSet,

@@ -151,17 +151,13 @@ def quantize_bitdepth(img: PlanarImage, d: int) -> PlanarImage:
     return PlanarImage(img.width, img.height, img.channels, planes)
 
 
-def quantize_ycbcr(img: PlanarImage, d: int, chroma: bool = False) -> PlanarImage:
-    """Quantize an RGB image in YCbCr 4:2:0 space: luma always, chroma on
-    request. Grayscale content should use quantize_bitdepth directly."""
+def quantize_ycbcr(img: PlanarImage, d: int) -> PlanarImage:
+    """Quantize an RGB image's luma in YCbCr 4:2:0 space; chroma is kept.
+    Grayscale content should use quantize_bitdepth directly."""
     from .imgcore import rgb_to_ycbcr420, ycbcr420_to_rgb
 
     y, cb, cr = rgb_to_ycbcr420(img)
-    y = quantize_bitdepth(y, d)
-    if chroma:
-        cb = quantize_bitdepth(cb, d)
-        cr = quantize_bitdepth(cr, d)
-    return ycbcr420_to_rgb(y, cb, cr)
+    return ycbcr420_to_rgb(quantize_bitdepth(y, d), cb, cr)
 
 
 def _dilate(mask: np.ndarray, radius: int) -> np.ndarray:
@@ -278,15 +274,13 @@ def make_dataset(
             save_image(sample.image, os.path.join(out_dir, name))
         grid = tile(sample.image, patch_size)
         labels = label_patches(sample, grid)
-        luma = to_luma(sample.image).planes[0]
+        luma = to_luma(sample.image)
         for start, block in grid.blocks(luma, max(1, BLOCK_PIXELS // patch_size**2)):
             hv, lvs = tile_maps(block, pws_cfg)
             for k, (h, lv) in enumerate(zip(hv, lvs), start):
-                x, y = grid.patches[k]
                 buckets[assigned[i]].append(PatchSample(h, lv, labels[k]))
-                manifest.append(
-                    ManifestRow(name, x, y, patch_size, labels[k], assigned[i])
-                )
+                x, y = grid.origin(k)
+                manifest.append(ManifestRow(name, x, y, patch_size, labels[k], assigned[i]))
     if out_dir is not None:
         write_manifest(manifest, os.path.join(out_dir, "manifest.csv"))
     return DatasetBundle(
@@ -363,7 +357,7 @@ def load_dataset(manifest_path, pws_cfg: PwsConfig | None = None):
 
     @functools.lru_cache(maxsize=1)
     def luma_of(image_path):
-        return to_luma(load_image(os.path.join(base, image_path))).planes[0]
+        return to_luma(load_image(os.path.join(base, image_path)))
 
     buckets = {"train": [], "val": [], "test": []}
     for line_no, r in numbered:

@@ -114,20 +114,21 @@ class PatchGrid:
     patch_size: int
     cols: int
     rows: int
-    patches: tuple  # ((x, y), ...) raster order
     image_width: int
     image_height: int
 
     def __post_init__(self):
-        if len(self.patches) != self.cols * self.rows:
-            raise ValueError("patch list inconsistent with grid shape")
         n = self.patch_size
-        for x, y in self.patches:
-            if x < 0 or y < 0 or x + n > self.image_width or y + n > self.image_height:
-                raise ValueError(f"patch at ({x}, {y}) leaves the image")
+        if self.cols * n > self.image_width or self.rows * n > self.image_height:
+            raise ValueError(f"{self.cols}x{self.rows} tiles of {n} leave the image")
 
     def __len__(self) -> int:
-        return len(self.patches)
+        return self.rows * self.cols
+
+    def origin(self, k: int) -> tuple[int, int]:
+        """(x, y) of tile k's top-left pixel; k indexes like a sequence of tiles."""
+        r, c = divmod(range(len(self))[k], self.cols)
+        return c * self.patch_size, r * self.patch_size
 
     def blocks(self, plane: np.ndarray, size: int):
         """Yield (index of the first patch, float64 (B, n, n) copy) per run
@@ -159,10 +160,7 @@ def tile(img: PlanarImage, n: int) -> PatchGrid:
         raise ValueError("patch size must be at least 8")
     if n > img.width or n > img.height:
         raise ValueError(f"patch size {n} exceeds image {img.width}x{img.height}")
-    cols = img.width // n
-    rows = img.height // n
-    patches = tuple((c * n, r * n) for r in range(rows) for c in range(cols))
-    return PatchGrid(n, cols, rows, patches, img.width, img.height)
+    return PatchGrid(n, img.width // n, img.height // n, img.width, img.height)
 
 
 # BT.601 luma weights; the synthetic data targets YCbCr 4:2:0 sources.
@@ -175,12 +173,12 @@ _LUMA_R, _LUMA_G, _LUMA_B = 0.299, 0.587, 0.114
 BLOCK_PIXELS = 2**16
 
 
-def to_luma(img: PlanarImage) -> PlanarImage:
-    """Single-channel float image in [0, 1].
+def to_luma(img: PlanarImage) -> np.ndarray:
+    """The image's luma as a read-only float32 (height, width) plane in [0, 1].
 
     3-channel input is combined with BT.601 weights; 1-channel input is only
     rescaled (8-bit) or passed through (float).  Rows are converted in blocks
-    of about BLOCK_PIXELS into one float32 plane.
+    of about BLOCK_PIXELS.
     """
     out = np.empty((img.height, img.width), dtype=np.float32)
     step = max(1, BLOCK_PIXELS // img.width)
@@ -199,9 +197,8 @@ def to_luma(img: PlanarImage) -> PlanarImage:
         if not img.is_float:
             y /= 255.0
         out[rows] = np.clip(y, 0.0, 1.0, out=y)
-    # Read-only before PlanarImage sees it, so _freeze keeps it uncopied.
     out.flags.writeable = False
-    return PlanarImage(img.width, img.height, 1, (out,))
+    return out
 
 
 def rgb_to_ycbcr420(img: PlanarImage):

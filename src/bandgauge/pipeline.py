@@ -6,8 +6,9 @@ severity score come out of the same masking and pooling path.  A tile's
 verdict is one number, its probability (the baseline rule's is 0.0 or 1.0);
 ``banding_map`` and ``pool_score`` take the per-tile record as three
 sequences: the probabilities, the mask weights and the banded tiles' Sobel
-maps.  The score is pooled from those maps; no full-frame map is built
-unless ``result.bmap.values`` is read.
+maps.  Stages pass plain read-only arrays (the luma plane, the per-tile sf
+and weights).  The score is pooled from those maps; no full-frame map is
+built unless ``result.bmap.values`` is read.
 Every tile gets its own maps.  One per-block function takes a run of
 consecutive tiles in raster order to its Sobel map and one probability per
 tile.  The model's maps come from ``tile_maps``, which also makes datagen's
@@ -97,12 +98,12 @@ def score_image(
         raise ValueError(
             f"model was trained at {model.patch_size}, config asks for {n}"
         )
-    luma = to_luma(img).planes[0]
+    luma = to_luma(img)
     grid = tile(img, n)
-    stats = grid_stats(luma, grid)
-    prob, hvs = _classify(luma, grid, stats, config, model)
+    sf = grid_stats(luma, grid)
+    prob, hvs = _classify(luma, grid, sf, config, model)
     del luma  # not read again; freed before the map is pooled
-    weights = mask_weights(stats, n, config.gamma)
+    weights = mask_weights(sf, n, config.gamma)
     bm = banding_map(grid, prob, weights, hvs)
     qs = pool_score(bm, config.p_percent)
     return ImageResult(qs, bm)
@@ -115,7 +116,7 @@ def tile_maps(block, pws: PwsConfig) -> tuple[np.ndarray, list[np.ndarray]]:
     return sobel_hfm(block), [pws_lfm(t, pws).values for t in block]
 
 
-def _classify(luma, grid, stats, config: RunConfig, model):
+def _classify(luma, grid, sf, config: RunConfig, model):
     """(prob, hvs) per tile, streamed over runs of tiles: the probabilities,
     and each banded tile's (N, N) Sobel map (None for any other tile, since
     banding_map reads no other)."""
@@ -125,8 +126,8 @@ def _classify(luma, grid, stats, config: RunConfig, model):
         start, block = item
         if model is None:
             hv = sobel_hfm(block)
-            sf = stats.sf[start : start + len(block)]
-            return start, hv, config.baseline.banded(hv.mean(axis=(-2, -1)), sf).astype(float)
+            tile_sf = sf[start : start + len(block)]
+            return start, hv, config.baseline.banded(hv.mean(axis=(-2, -1)), tile_sf).astype(float)
         hv, lvs = tile_maps(block, config.pws)
         return start, hv, forward_batch(model, hv, lvs)
 

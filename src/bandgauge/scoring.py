@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .imgcore import PatchGrid, PlanarImage
-from .sfmask import MaskWeights
 
 
 class BandingMap:
@@ -50,7 +49,7 @@ class BandingMap:
             values = np.zeros((self.height, self.width))
             n = self.grid.patch_size
             for k in np.flatnonzero(self.banded):
-                x, y = self.grid.patches[k]
+                x, y = self.grid.origin(k)
                 values[y : y + n, x : x + n] = self._patch(k)
             values.flags.writeable = False
             self._values = values
@@ -78,7 +77,6 @@ class QualityScore:
     """Pooled severity: 0 means no patch was predicted banded."""
 
     q: float
-    p_percent: float
     per_patch_scores: tuple
 
     def __post_init__(self):
@@ -86,27 +84,30 @@ class QualityScore:
             raise ValueError("score must be non-negative")
 
 
-def banding_map(grid: PatchGrid, prob, weights: MaskWeights, hvs) -> BandingMap:
+def banding_map(grid: PatchGrid, prob, weights, hvs) -> BandingMap:
     """The per-pixel visibility field from per-tile arrays.
 
-    prob[k] must lie in [0, 1].  hvs[k] is read only for a banded tile k
-    (prob[k] > 0.5), and must then be an (N, N) array; the entry of any other
-    tile may be None.
+    prob[k] must lie in [0, 1] and weights[k] in [1, inf).  hvs[k] is read
+    only for a banded tile k (prob[k] > 0.5), and must then be an (N, N)
+    array; the entry of any other tile may be None.
     """
     k = len(grid)
     prob = np.array(prob, dtype=np.float64)
-    if len(prob) != k or len(weights.w) != k or len(hvs) != k:
+    weights = np.array(weights, dtype=np.float64)
+    if len(prob) != k or len(weights) != k or len(hvs) != k:
         raise ValueError("per-patch collections must align with the grid")
     if not np.all((prob >= 0.0) & (prob <= 1.0)):
         raise ValueError("probabilities must be finite and within [0, 1]")
-    prob.flags.writeable = False
+    if not np.all((weights >= 1.0) & (weights < np.inf)):
+        raise ValueError("mask weights must be finite and at least 1")
+    prob.flags.writeable = weights.flags.writeable = False
     kept = [None] * k
     n = grid.patch_size
     for i in np.flatnonzero(prob > 0.5):
         kept[i] = hvs[i]
         if kept[i].shape != (n, n):
             raise ValueError(f"hfm {i} shape {kept[i].shape} != patch size {n}")
-    return BandingMap(grid, prob, weights.w, tuple(kept))
+    return BandingMap(grid, prob, weights, tuple(kept))
 
 
 def _top_fraction_mean(nonzero: np.ndarray, p_percent: float) -> float:
@@ -133,7 +134,7 @@ def pool_score(bm: BandingMap, p_percent: float = 80.0) -> QualityScore:
         block = bm._patch(k)
         scores[k] = _top_fraction_mean(block[block > 0.0], p_percent)
     q = float(sum(scores) / len(scores)) if scores else 0.0
-    return QualityScore(q, p_percent, tuple(scores))
+    return QualityScore(q, tuple(scores))
 
 
 def map_to_image(bm: BandingMap) -> PlanarImage:

@@ -3,43 +3,16 @@
 Per patch: column frequency = RMS of horizontal first differences,
 row frequency likewise vertically, both normalized by the full patch area
 N^2 (the difference count is (N-1)*N, but the area normalizer is used
-deliberately).  The grid threshold epsilon is the plain mean of the patch
+deliberately).  ``grid_stats`` and ``mask_weights`` return one read-only
+float64 per tile.  The threshold epsilon is the plain mean of the tiles'
 spatial frequencies; patches more active than epsilon get a weight above 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .imgcore import BLOCK_PIXELS, PatchGrid
-
-
-@dataclass(frozen=True)
-class SpatialFreqStats:
-    """Per-patch spatial frequencies plus the grid-level threshold."""
-
-    sf: np.ndarray
-    epsilon: float
-
-    def __len__(self) -> int:
-        return len(self.sf)
-
-
-@dataclass(frozen=True)
-class MaskWeights:
-    """Per-patch visibility weights, all >= 1."""
-
-    w: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.w, dtype=np.float64)
-        if w.size and float(w.min()) < 1.0:
-            raise ValueError("mask weights must be at least 1")
-        w = np.ascontiguousarray(w)
-        w.flags.writeable = False
-        object.__setattr__(self, "w", w)
 
 
 def spatial_frequency(patch) -> tuple:
@@ -65,14 +38,6 @@ def spatial_frequency(patch) -> tuple:
     return tuple(float(v) for v in out) if arr.ndim == 2 else out
 
 
-def sf_threshold(sf_values) -> float:
-    """Grid threshold: arithmetic mean of the patch spatial frequencies."""
-    sf_values = np.asarray(sf_values, dtype=np.float64)
-    if sf_values.size == 0:
-        raise ValueError("cannot take the threshold of an empty grid")
-    return float(sf_values.mean())
-
-
 def mask_weight(sf: float, epsilon: float, n: int, gamma: float = 1.5) -> float:
     """Visibility weight: 1 below the threshold, supra-linear growth above."""
     if n < 1:
@@ -85,14 +50,24 @@ def mask_weight(sf: float, epsilon: float, n: int, gamma: float = 1.5) -> float:
     return 1.0 + (mag - epsilon) ** gamma / n
 
 
-def grid_stats(luma: np.ndarray, grid: PatchGrid) -> SpatialFreqStats:
-    """Spatial-frequency statistics for every patch of a tiled luma plane."""
+def grid_stats(luma: np.ndarray, grid: PatchGrid) -> np.ndarray:
+    """The read-only float64 spatial frequency of every tile of a luma plane."""
     size = max(1, BLOCK_PIXELS // grid.patch_size**2)
-    sfs = np.concatenate([spatial_frequency(block)[2] for _, block in grid.blocks(luma, size)])
-    return SpatialFreqStats(sfs, sf_threshold(sfs))
+    sf = np.concatenate([spatial_frequency(block)[2] for _, block in grid.blocks(luma, size)])
+    sf.flags.writeable = False
+    return sf
 
 
-def mask_weights(stats: SpatialFreqStats, n: int, gamma: float = 1.5) -> MaskWeights:
-    """Weights for every patch of a grid."""
-    w = np.array([mask_weight(sf, stats.epsilon, n, gamma) for sf in stats.sf])
-    return MaskWeights(w)
+def mask_weights(sf: np.ndarray, n: int, gamma: float = 1.5) -> np.ndarray:
+    """The read-only float64 weight of every tile; epsilon is the mean sf.
+
+    One scalar ``mask_weight`` per tile: np.power rounds differently from
+    ** on some inputs, and would move the weights and the score.
+    """
+    sf = np.asarray(sf, dtype=np.float64)
+    if sf.size == 0:
+        raise ValueError("cannot weight an empty grid")
+    epsilon = float(sf.mean())
+    w = np.array([mask_weight(v, epsilon, n, gamma) for v in sf])
+    w.flags.writeable = False
+    return w

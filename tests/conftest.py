@@ -35,7 +35,7 @@ SQ2 = np.sqrt(2.0)
 
 def extract(grid, arr, k):
     """View of the grid's patch k out of a (h, w) array."""
-    x, y = grid.patches[k]
+    x, y = grid.origin(k)
     n = grid.patch_size
     return arr[y : y + n, x : x + n]
 

@@ -574,7 +574,8 @@ def test_train_eval_mos_flow(tmp_path, capsys):
             fh.write(f"i{i},{v}\n")
     rep = tmp_path / "report.csv"
     assert main(["eval", "--scores", str(pred), "--mos", str(target), "--out", str(rep)]) == 0
-    metrics = {r["metric"]: float(r["value"]) for r in csv.DictReader(open(rep))}
+    with open(rep) as fh:
+        metrics = {r["metric"]: float(r["value"]) for r in csv.DictReader(fh)}
     assert metrics["srcc"] == pytest.approx(1.0)
     assert metrics["plcc"] == pytest.approx(1.0, abs=1e-9)
     assert metrics["rmse"] == pytest.approx(0.0, abs=1e-9)
@@ -605,7 +606,8 @@ def test_train_eval_mos_flow(tmp_path, capsys):
         fh.write("imgA,r15,100\n")
     mos_out = tmp_path / "mos.csv"
     assert main(["mos", "--ratings", str(ratings), "--out", str(mos_out)]) == 0
-    rows = list(csv.DictReader(open(mos_out)))
+    with open(mos_out) as fh:
+        rows = list(csv.DictReader(fh))
     assert rows[0]["image_id"] == "imgA"
     assert int(rows[0]["n_kept"]) + int(rows[0]["n_removed"]) == 16
 

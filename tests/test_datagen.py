@@ -77,7 +77,7 @@ def test_quantize_idempotent(rng):
         assert (once.planes[0] == twice.planes[0]).all()
 
 
-def test_quantize_ycbcr_luma_and_chroma(rng):
+def test_quantize_ycbcr_collapses_luma():
     from bandgauge.datagen import quantize_ycbcr
     from bandgauge.imgcore import rgb_to_ycbcr420
 
@@ -87,13 +87,8 @@ def test_quantize_ycbcr_luma_and_chroma(rng):
     arr[:, :, 2] = np.linspace(240, 10, 16).astype(np.uint8)[:, None]
     img = PlanarImage.from_array(arr)
 
-    luma_only = quantize_ycbcr(img, 3, chroma=False)
-    y, cb, cr = rgb_to_ycbcr420(luma_only)
+    y, _, _ = rgb_to_ycbcr420(quantize_ycbcr(img, 3))
     assert len(np.unique(y.planes[0])) <= 8  # luma collapsed to 2^3 levels
-    both = quantize_ycbcr(img, 3, chroma=True)
-    _, cb2, cr2 = rgb_to_ycbcr420(both)
-    # chroma plane of the luma-only variant keeps more distinct levels
-    assert len(np.unique(cb2.planes[0])) <= len(np.unique(cb.planes[0]))
 
 
 def test_quantize_error_bound(rng):
@@ -319,7 +314,7 @@ def test_load_dataset_follows_manifest_order(tmp_path):
     loaded = load_dataset(tmp_path / "hand.csv")
     assert loaded.manifest == tuple(rows) and not loaded.val
     for i, (s, (p, x, y, n)) in enumerate(zip(loaded.train + loaded.test, spots)):
-        luma = to_luma(load_image(tmp_path / p)).planes[0].astype(np.float64)
+        luma = to_luma(load_image(tmp_path / p)).astype(np.float64)
         patch = luma[y : y + n, x : x + n]
         assert s.hfm.tobytes() == sobel_hfm(patch).tobytes()
         assert s.lfm.tobytes() == pws_lfm(patch).values.tobytes()

@@ -594,12 +594,12 @@ def _datagen_tiles():
     for kind in KINDS:
         for depth in (8, 5, 3):
             image = make_sample(SynthSpec(kind, size=128, bit_depth=depth, seed=depth)).image
-            luma = to_luma(image).planes[0].astype(np.float64)
+            luma = to_luma(image).astype(np.float64)
             grid = tile(image, 64)
             for k in range(len(grid)):
                 yield f"{kind}-d{depth}-{k}", extract(grid, luma, k)
     noise = make_sample(SynthSpec("noise_texture", size=235, bit_depth=8, seed=1)).image
-    yield "noise_texture-235", to_luma(noise).planes[0].astype(np.float64)
+    yield "noise_texture-235", to_luma(noise).astype(np.float64)
 
 
 def test_real_tiles_match_masked_red_black_bitwise():

@@ -15,6 +15,7 @@ from bandgauge.imgcore import (
     BLOCK_PIXELS,
     PNG_MAX_PIXELS,
     ImageFormatError,
+    PatchGrid,
     PlanarImage,
     _png_decode,
     load_image,
@@ -321,12 +322,12 @@ def test_load_errors(tmp_path):
 
 
 def test_luma_white_red_gray():
-    assert float(to_luma(rgb_image(255, 255, 255)).planes[0][0, 0]) == pytest.approx(1.0)
-    assert float(to_luma(rgb_image(255, 0, 0)).planes[0][0, 0]) == pytest.approx(
+    assert float(to_luma(rgb_image(255, 255, 255))[0, 0]) == pytest.approx(1.0)
+    assert float(to_luma(rgb_image(255, 0, 0))[0, 0]) == pytest.approx(
         0.299, abs=1e-7
     )
     for g in range(0, 256, 17):
-        got = float(to_luma(rgb_image(g, g, g)).planes[0][0, 0])
+        got = float(to_luma(rgb_image(g, g, g))[0, 0])
         assert got == pytest.approx(g / 255.0, abs=1e-6)
 
 
@@ -335,8 +336,8 @@ def test_luma_linearity_on_floats(rng):
     for a in (0.25, 0.5, 0.9):
         img = PlanarImage.from_array(base)
         scaled = PlanarImage.from_array((a * base).astype(np.float32))
-        lhs = to_luma(scaled).planes[0]
-        rhs = a * to_luma(img).planes[0]
+        lhs = to_luma(scaled)
+        rhs = a * to_luma(img)
         assert np.abs(lhs - rhs).max() < 1e-6
 
 
@@ -361,7 +362,8 @@ def luma_images(draw):
 @example(rgb_image(255, 255, 255, w=1, h=1))
 @example(PlanarImage.from_array(np.full((BLOCK_PIXELS // 300 * 3 + 7, 300), 1.0, np.float32)))
 def test_blocked_luma_is_the_formula_bitwise(img):
-    plane = to_luma(img).planes[0]
+    plane = to_luma(img)
+    assert type(plane) is np.ndarray and plane.shape == (img.height, img.width)
     assert plane.dtype == np.float32 and not plane.flags.writeable
     assert plane.tobytes() == luma_reference(img).tobytes()
 
@@ -430,14 +432,15 @@ def test_tile_full_hd_grid():
 
 def test_tile_single_patch():
     grid = tile(gray_image(0, w=235, h=235), 235)
-    assert len(grid) == 1 and grid.patches[0] == (0, 0)
+    assert len(grid) == 1 and grid.origin(0) == (0, 0)
 
 
 def test_tile_exact_cover():
     grid = tile(gray_image(0, w=64, h=64), 32)
     assert len(grid) == 4
     covered = np.zeros((64, 64), dtype=int)
-    for x, y in grid.patches:
+    for k in range(len(grid)):
+        x, y = grid.origin(k)
         covered[y : y + 32, x : x + 32] += 1
     assert (covered == 1).all()
 
@@ -455,12 +458,30 @@ def test_tile_disjoint_in_bounds_random_sizes(rng):
         h = int(rng.integers(17, 200))
         n = int(rng.integers(8, min(w, h) + 1))
         grid = tile(gray_image(0, w=w, h=h), n)
+        assert len(grid) == grid.cols * grid.rows == (w // n) * (h // n)
         covered = np.zeros((h, w), dtype=int)
-        for x, y in grid.patches:
-            assert 0 <= x and 0 <= y and x + n <= w and y + n <= h
+        for k in range(len(grid)):
+            x, y = grid.origin(k)
+            assert type(x) is int and type(y) is int
             covered[y : y + n, x : x + n] += 1
-        assert covered.max() <= 1
-        assert len(grid) == (w // n) * (h // n)
+        # Every pixel of the grid's (rows * n, cols * n) corner once, and
+        # the right and bottom remainders never.
+        want = np.zeros((h, w), dtype=int)
+        want[: grid.rows * n, : grid.cols * n] = 1
+        assert (covered == want).all()
+        assert grid.origin(-1) == grid.origin(len(grid) - 1)
+        with pytest.raises(IndexError):
+            grid.origin(len(grid))
+
+
+@pytest.mark.parametrize(
+    "cols, rows, width, height",
+    [(3, 1, 95, 32), (1, 3, 32, 95), (4, 4, 127, 128), (0, 1, 10, 31)],
+)
+def test_patch_grid_that_leaves_the_image_rejected(cols, rows, width, height):
+    with pytest.raises(ValueError, match="leave the image"):
+        PatchGrid(32, cols, rows, width, height)
+    PatchGrid(32, cols, rows, 32 * cols, 32 * rows)  # the grid's own size fits
 
 
 @st.composite

@@ -27,7 +27,7 @@ from bandgauge.freq import PwsConfig, pws_lfm
 from bandgauge.imgcore import BLOCK_PIXELS, Label, PlanarImage, load_image, save_image, tile
 from bandgauge.pipeline import RunConfig, score_image, tile_maps
 from bandgauge.scoring import banding_map, pool_score
-from bandgauge.sfmask import SpatialFreqStats, mask_weights, sf_threshold
+from bandgauge.sfmask import mask_weights
 from conftest import extract, luma_reference, sf_reference, sobel_reference
 
 
@@ -40,7 +40,6 @@ def score_image_per_tile(img, config, model=None):
     tiles = [extract(grid, luma, k) for k in range(len(grid))]
     hfms = [sobel_reference(t) for t in tiles]
     sf = np.array([sf_reference(t)[2] for t in tiles])
-    stats = SpatialFreqStats(sf, sf_threshold(sf))
     probs = None
     if model is not None:
         probs = forward_batch(model, hfms, [pws_lfm(t, config.pws).values for t in tiles])
@@ -48,7 +47,7 @@ def score_image_per_tile(img, config, model=None):
     else:
         mean_grad = np.array([h.mean() for h in hfms])
         prob = config.baseline.banded(mean_grad, sf).astype(float)
-    bm = banding_map(grid, prob, mask_weights(stats, n, config.gamma), hfms)
+    bm = banding_map(grid, prob, mask_weights(sf, n, config.gamma), hfms)
     return pool_score(bm, config.p_percent), bm, hfms, probs
 
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from bandgauge.imgcore import PlanarImage, tile
 from bandgauge.scoring import _top_fraction_mean, banding_map, map_to_image, pool_score
-from bandgauge.sfmask import MaskWeights
 
 BANDED, CLEAN = 1.0, 0.0  # a tile's probability
 
@@ -17,10 +16,10 @@ BANDED, CLEAN = 1.0, 0.0  # a tile's probability
 def build_map(rng, w=96, h=64, n=32, banded_frac=0.6, weight_hi=3.0):
     img = PlanarImage.from_array(np.zeros((h, w), dtype=np.uint8))
     grid = tile(img, n)
-    labels = [BANDED if rng.random() < banded_frac else CLEAN for _ in grid.patches]
-    weights = MaskWeights(rng.uniform(1.0, weight_hi, size=len(grid)))
+    labels = [BANDED if rng.random() < banded_frac else CLEAN for _ in range(len(grid))]
+    weights = rng.uniform(1.0, weight_hi, size=len(grid))
     hfms = []
-    for _ in grid.patches:
+    for _ in range(len(grid)):
         vals = rng.random((n, n)) * 4.0
         vals[rng.random((n, n)) < 0.4] = 0.0  # plenty of zeros
         hfms.append(vals)
@@ -31,7 +30,8 @@ def brute_force_pool(bm, p_percent):
     """Full-sort oracle with explicit tie handling, per patch."""
     n = bm.grid.patch_size
     patch_scores = []
-    for x, y in bm.grid.patches:
+    for k in range(len(bm.grid)):
+        x, y = bm.grid.origin(k)
         vals = [
             float(v)
             for row in bm.values[y : y + n, x : x + n]
@@ -54,8 +54,9 @@ def banding_map_reference(grid, labels, weights, hfms):
     patch."""
     values = np.zeros((grid.image_height, grid.image_width))
     n = grid.patch_size
-    for i, (x, y) in enumerate(grid.patches):
-        w_i = float(weights.w[i])
+    for i in range(len(grid)):
+        x, y = grid.origin(i)
+        w_i = float(weights[i])
         if labels[i] > 0.5:
             values[y : y + n, x : x + n] = w_i * np.abs(hfms[i])
     return values
@@ -65,7 +66,8 @@ def pool_score_reference(values, grid, p_percent):
     """(q, per-patch scores) pooled from slices of the full frame."""
     scores = []
     n = grid.patch_size
-    for x, y in grid.patches:
+    for k in range(len(grid)):
+        x, y = grid.origin(k)
         block = values[y : y + n, x : x + n]
         scores.append(_top_fraction_mean(block[block > 0.0], p_percent))
     return float(sum(scores) / len(scores)), scores
@@ -88,7 +90,7 @@ def test_tile_form_is_the_full_frame_bitwise(n, cols, rows, extra_w, extra_h, p,
     )
     grid = tile(img, n)
     labels = [BANDED if b else CLEAN for b in rng.random(len(grid)) < rng.random()]
-    weights = MaskWeights(1.0 + rng.exponential(size=len(grid)))
+    weights = 1.0 + rng.exponential(size=len(grid))
     hfms = []
     for label in labels:
         vals = np.floor(rng.random((n, n)) * 6.0) / 2.0  # zeros and ties
@@ -100,7 +102,7 @@ def test_tile_form_is_the_full_frame_bitwise(n, cols, rows, extra_w, extra_h, p,
     assert list(got.per_patch_scores) == want_scores
     assert got.q.hex() == want_q.hex()
     assert bm.prob.tobytes() == np.array(labels).tobytes()
-    assert bm.weight.tobytes() == weights.w.tobytes()
+    assert bm.weight.tobytes() == weights.tobytes()
     assert (bm.height, bm.width) == values.shape
     assert bm.values.tobytes() == values.tobytes()
 
@@ -127,9 +129,9 @@ def test_single_banded_patch_copies_hfm(rng):
     grid, _, _, hfms = build_map(rng, w=64, h=64, n=32)
     labels = [CLEAN] * len(grid)
     labels[2] = BANDED
-    weights = MaskWeights(np.ones(len(grid)))
+    weights = np.ones(len(grid))
     bm = banding_map(grid, labels, weights, hfms)
-    x, y = grid.patches[2]
+    x, y = grid.origin(2)
     block = bm.values[y : y + 32, x : x + 32]
     assert (block == hfms[2]).all()
     outside = bm.values.copy()
@@ -143,7 +145,7 @@ def test_single_banded_patch_copies_hfm(rng):
 def test_weight_scales_linearly(rng):
     grid, labels, weights, hfms = build_map(rng)
     bm1 = banding_map(grid, labels, weights, hfms)
-    bm2 = banding_map(grid, labels, MaskWeights(2.0 * weights.w), hfms)
+    bm2 = banding_map(grid, labels, 2.0 * weights, hfms)
     assert np.allclose(bm2.values, 2.0 * bm1.values, rtol=0, atol=0)
 
 
@@ -151,6 +153,22 @@ def test_misaligned_collections_rejected(rng):
     grid, labels, weights, hfms = build_map(rng)
     with pytest.raises(ValueError):
         banding_map(grid, labels[:-1], weights, hfms)
+
+
+@pytest.mark.parametrize("weights", [[float("nan")], [float("inf")], [0.5], [1.0, 1.0]])
+def test_mask_weights_must_be_finite_at_least_one_and_aligned(weights):
+    # One banded tile whose Sobel map is 2.0: unchecked, a NaN weight would
+    # pool to q = 0 with NaN in the map, and an infinite one to q = inf.
+    grid = tile(PlanarImage.from_array(np.zeros((32, 32), dtype=np.uint8)), 32)
+    with pytest.raises(ValueError, match="mask weights|align"):
+        banding_map(grid, [BANDED], weights, [np.full((32, 32), 2.0)])
+
+
+def test_weights_are_copied_read_only(rng):
+    grid, labels, weights, hfms = build_map(rng)
+    bm = banding_map(grid, labels, weights, hfms)
+    weights[0] = 99.0  # the caller's array stays writeable and unread
+    assert bm.weight[0] != 99.0 and not bm.weight.flags.writeable
 
 
 @pytest.mark.parametrize("bad", [-0.1, 1.5, float("nan"), float("inf")])
@@ -175,7 +193,7 @@ def test_constant_patch_pools_to_its_value():
     img = PlanarImage.from_array(np.zeros((32, 32), dtype=np.uint8))
     grid = tile(img, 32)
     c = 0.7351
-    bm = banding_map(grid, [BANDED], MaskWeights(np.ones(1)), [np.full((32, 32), c)])
+    bm = banding_map(grid, [BANDED], [1.0], [np.full((32, 32), c)])
     for p in (10.0, 50.0, 80.0, 100.0):
         assert pool_score(bm, p).q == pytest.approx(c, rel=1e-12)
 
@@ -201,7 +219,7 @@ def test_pool_monotone_in_p(rng):
 def test_pool_scales_with_weights(rng):
     grid, labels, weights, hfms = build_map(rng)
     q1 = pool_score(banding_map(grid, labels, weights, hfms)).q
-    q3 = pool_score(banding_map(grid, labels, MaskWeights(3.0 * weights.w), hfms)).q
+    q3 = pool_score(banding_map(grid, labels, 3.0 * weights, hfms)).q
     assert q3 == pytest.approx(3.0 * q1, rel=1e-12)
 
 
@@ -239,7 +257,7 @@ def test_map_to_image(rng):
 def test_map_to_image_constant_map_renders_zeros():
     # One tile, banded, with a constant gradient map: the whole map is 2.0.
     grid = tile(PlanarImage.from_array(np.zeros((8, 8), dtype=np.uint8)), 8)
-    bm = banding_map(grid, [BANDED], MaskWeights(np.ones(1)), [np.full((8, 8), 2.0)])
+    bm = banding_map(grid, [BANDED], [1.0], [np.full((8, 8), 2.0)])
     assert bm.values.min() == bm.values.max() == 2.0
     img = map_to_image(bm)
     assert (img.planes[0] == 0).all()

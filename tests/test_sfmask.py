@@ -8,14 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bandgauge.imgcore import PlanarImage, tile
-from bandgauge.sfmask import (
-    SpatialFreqStats,
-    grid_stats,
-    mask_weight,
-    mask_weights,
-    sf_threshold,
-    spatial_frequency,
-)
+from bandgauge.sfmask import grid_stats, mask_weight, mask_weights, spatial_frequency
 from conftest import extract, sf_reference
 
 
@@ -74,25 +67,13 @@ def test_grid_stats_is_per_tile_over_blocks(rng):
     img = PlanarImage.from_array(luma)
     for n in (12, 100, 128, 140):
         grid = tile(img, n)
-        stats = grid_stats(luma, grid)
+        sf = grid_stats(luma, grid)
         want = [
             sf_reference(extract(grid, luma, k).astype(np.float64))
             for k in range(len(grid))
         ]
-        assert stats.sf.tolist() == [sf for _, _, sf in want]
-
-
-def test_threshold_identical_and_pair():
-    assert sf_threshold([3.25] * 7) == 3.25
-    assert sf_threshold([0.0, 2.0]) == 1.0
-    with pytest.raises(ValueError):
-        sf_threshold([])
-
-
-def test_threshold_is_brute_force_mean(rng):
-    sfs = rng.random(32)
-    want = math.fsum(sfs) / 32.0
-    assert abs(sf_threshold(sfs) - want) < 1e-12
+        assert sf.dtype == np.float64 and not sf.flags.writeable
+        assert sf.tolist() == [v for _, _, v in want]
 
 
 def test_mask_weight_cases():
@@ -129,28 +110,37 @@ def test_mask_weight_validation():
     st.integers(1, 300),
     st.floats(0.05, 4.0),
 )
+@example([3.25] * 7, 64, 1.5)
+@example([0.0, 2.0], 64, 1.5)
 @example([0.25 + k / 997 for k in range(300)], 235, 1.5)
 def test_mask_weights_is_mask_weight_per_patch_bitwise(sfs, n, gamma):
     # numpy's float64 power rounds differently from Python's ** on some
     # inputs (about 5% of uniform samples at gamma = 1.5), so a vectorised
-    # np.power would move the weights and the score.
+    # np.power would move the weights and the score.  The threshold epsilon
+    # is the plain mean of the spatial frequencies.
     sf = np.array(sfs)
-    stats = SpatialFreqStats(sf, sf_threshold(sf))
-    want = [mask_weight(v, stats.epsilon, n, gamma) for v in stats.sf]
-    assert mask_weights(stats, n, gamma).w.tobytes() == np.array(want).tobytes()
+    epsilon = float(sf.mean())
+    assert abs(epsilon - math.fsum(sfs) / len(sfs)) <= 1e-12 * max(1.0, epsilon)
+    want = [mask_weight(v, epsilon, n, gamma) for v in sf]
+    got = mask_weights(sf, n, gamma)
+    assert got.dtype == np.float64 and not got.flags.writeable
+    assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_mask_weights_of_an_empty_grid_rejected():
+    with pytest.raises(ValueError, match="empty"):
+        mask_weights(np.array([]), 16)
 
 
 def test_weights_floor_at_one(rng):
     luma = rng.random((64, 64))
     img = PlanarImage.from_array(luma.astype(np.float32))
     grid = tile(img, 16)
-    stats = grid_stats(luma, grid)
-    weights = mask_weights(stats, 16)
-    assert (weights.w >= 1.0).all()
-    assert stats.epsilon == pytest.approx(stats.sf.mean())
+    grid_sf = grid_stats(luma, grid)
+    assert (mask_weights(grid_sf, 16) >= 1.0).all()
     # sf >= max(cf, rf) >= 0 for every patch
     cf, rf, sf = spatial_frequency(np.stack([extract(grid, luma, k) for k in range(len(grid))]))
-    assert sf.tobytes() == stats.sf.tobytes()
+    assert sf.tobytes() == grid_sf.tobytes()
     assert (sf >= np.maximum(cf, rf) - 1e-15).all()
 
 
@@ -166,6 +156,6 @@ def test_noise_beats_blur_in_mean_sf():
         blurred = acc / 9.0
         img = PlanarImage.from_array(noise.astype(np.float32))
         grid = tile(img, 16)
-        mean_noise = grid_stats(noise, grid).epsilon
-        mean_blur = grid_stats(blurred, grid).epsilon
+        mean_noise = grid_stats(noise, grid).mean()
+        mean_blur = grid_stats(blurred, grid).mean()
         assert mean_noise > mean_blur
